@@ -65,7 +65,6 @@ _EXPORTS = {
     "PicardConfig": "nonlinear_solver",
     "PicardReport": "nonlinear_solver",
     "NonlinearProblem": "nonlinear_solver",
-    "picard_step": "nonlinear_solver",
     "picard_solve": "nonlinear_solver",
     "OracleConfig": "fd_oracle",
     "OracleProblem": "fd_oracle",

@@ -15,9 +15,20 @@ and combined as u = u_velocity + u_displacement - u_forced.  The spectral
 representation is exact in x up to series truncation; the output grid only
 enters at the final synthesis step.
 
-The time convolution uses composite Simpson quadrature with step
-min(0.01, t/64), doubled until the Richardson estimate |S_2m - S_m|/15
-falls below the quadrature tolerance.
+The source convolution samples f once on a uniform grid over [0, max t]
+and convolves the samples with H_n and H_n' by the Gregory/FFT rule shared
+with the nonlinear solver (``nonlinear_solver.volterra_convolve``).  An
+output time t = t_k + s between grid nodes is reached from the node t_k
+below it by the modal restart identity
+
+    U(t_k + s) = U(t_k)*(H_n'(s) + 2*h_n*H_n(s)) + U'(t_k)*H_n(s)
+                 + int_{t_k}^{t_k+s} f_n(tau) H_n(t_k + s - tau) dtau,
+
+with the short integral by three-node Simpson (U' = int f_n H_n' restarts
+the same way).  The grid starts at step ``START_STEP`` and is halved,
+reusing its samples, until the step-halving estimate
+max|U_dt - U_dt/2| / 7 at the output times (the rule converges at third
+order) falls below the quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nonlinear_solver
 from .errors import AccuracyError
 from .fields import Field
 from .modes import ModeTable, Params, kernel_dt_values, kernel_values, mode_table
@@ -45,13 +57,21 @@ __all__ = [
 ]
 
 
+# Initial step of the uniform source grid.
+START_STEP = 0.01
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Convolution quadrature settings (Simpson + Richardson refinement)."""
+    """Source-convolution accuracy.
+
+    ``tol`` bounds the step-halving estimate max|U_dt - U_dt/2| / 7 of the
+    forced part at the output times (with its time derivative when the
+    grid asks for it); the source grid is halved at most ``max_doublings``
+    times before AccuracyError is raised.
+    """
 
     tol: float = 1e-9
-    base_step: float = 0.01
-    min_intervals: int = 64
     max_doublings: int = 8
 
 
@@ -129,48 +149,75 @@ def propagate_displacement(p: Params, g0: SineSpectrum, t: float,
     return SineSpectrum(l=p.l, coeffs=_pad(g0.coeffs, table.n_modes) * factor)
 
 
-def _simpson_weights(m: int) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+def _sampled(f, taus: np.ndarray, n_modes: int) -> np.ndarray:
+    """Source spectra f(tau) as columns, padded or cut to n_modes."""
+    out = np.empty((n_modes, taus.size))
+    for j, tau in enumerate(taus):
+        out[:, j] = _pad(np.asarray(f(float(tau)).coeffs, dtype=float), n_modes)
+    return out
 
 
-def _convolved(f, t: float, n_modes: int, quad: QuadConfig,
-               table: ModeTable, with_dt: bool):
-    """int_0^t f_n(tau) H_n(t - tau) dtau (and optionally the H' version)."""
-    if t == 0.0:
-        zero = np.zeros(n_modes)
-        return (zero, zero.copy()) if with_dt else (zero, None)
+def _forced_at(f, table: ModeTable, fgrid: np.ndarray, dt: float,
+               t_out: np.ndarray, with_dt: bool):
+    """U = int_0^t f_n H_n(t - tau) dtau at t_out from the samples ``fgrid``.
 
-    def quadrature(m: int):
-        taus = np.linspace(0.0, t, m + 1)
-        fvals = np.empty((n_modes, m + 1))
-        for j, tau in enumerate(taus):
-            fvals[:, j] = _pad(np.asarray(f(tau).coeffs, dtype=float), n_modes)
-        w = _simpson_weights(m) * (t / m)
-        hmat = kernel_values(table, t - taus)
-        prim = (fvals * hmat) @ w
+    Also returns U' = int_0^t f_n H_n'(t - tau) dtau when ``with_dt``.
+    """
+    steps = fgrid.shape[1] - 1
+    nodes = dt * np.arange(steps + 1)
+    # looked up on its module at call time, so that a wrapper installed on
+    # nonlinear_solver.volterra_convolve (perfbench's tracer) sees these calls
+    u_grid = nonlinear_solver.volterra_convolve(kernel_values(table, nodes), fgrid, dt)
+    du_grid = nonlinear_solver.volterra_convolve(kernel_dt_values(table, nodes), fgrid, dt)
+    k = np.minimum(np.floor(t_out / dt).astype(int), steps)
+    s = np.maximum(t_out - k * dt, 0.0)
+    u, du = u_grid[:, k], du_grid[:, k]
+    off = s > 0.0
+    if np.any(off):
+        k, s = k[off], s[off]
+        hs, hds = kernel_values(table, s), kernel_dt_values(table, s)
+        hm, hdm = kernel_values(table, s / 2.0), kernel_dt_values(table, s / 2.0)
+        f0 = fgrid[:, k]
+        fm = _sampled(f, k * dt + s / 2.0, table.n_modes)
+        w = s / 6.0
+        u_k, du_k = u[:, off], du[:, off]
+        # H(0) = 0 drops f(t) from the Simpson sum for U
+        u[:, off] = (u_k * (hds + 2.0 * table.h[:, None] * hs) + du_k * hs
+                     + w * (f0 * hs + 4.0 * fm * hm))
         if with_dt:
-            hdmat = kernel_dt_values(table, t - taus)
-            return prim, (fvals * hdmat) @ w
-        return prim, None
+            f1 = _sampled(f, t_out[off], table.n_modes)
+            du[:, off] = (du_k * hds - (table.b**2)[:, None] * hs * u_k
+                          + w * (f0 * hds + 4.0 * fm * hdm + f1))
+    return u, (du if with_dt else None)
 
-    m = max(quad.min_intervals, math.ceil(t / quad.base_step))
-    m += m % 2
-    coarse, coarse_dt = quadrature(m)
+
+def _forced(f, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
+            with_dt: bool):
+    """Forced part (U, U' or None) at t_out, refined by step halving."""
+    horizon = float(np.max(t_out))
+    if horizon == 0.0:
+        zero = np.zeros((table.n_modes, t_out.size))
+        return zero, (zero.copy() if with_dt else None)
+    steps = math.ceil(horizon / START_STEP)
+    dt = horizon / steps
+    fgrid = _sampled(f, dt * np.arange(steps + 1), table.n_modes)
+    coarse = _forced_at(f, table, fgrid, dt, t_out, with_dt)
+    estimate = math.inf
     for _ in range(quad.max_doublings):
-        m *= 2
-        fine, fine_dt = quadrature(m)
-        estimate = np.max(np.abs(fine - coarse)) / 15.0
-        if with_dt:
-            estimate = max(estimate, np.max(np.abs(fine_dt - coarse_dt)) / 15.0)
+        steps, dt = 2 * steps, dt / 2.0
+        finer = np.empty((table.n_modes, steps + 1))
+        finer[:, ::2] = fgrid
+        finer[:, 1::2] = _sampled(f, dt * np.arange(1, steps, 2), table.n_modes)
+        fgrid = finer
+        fine = _forced_at(f, table, fgrid, dt, t_out, with_dt)
+        estimate = max(float(np.max(np.abs(a - b)))
+                       for a, b in zip(fine, coarse) if a is not None) / 7.0
         if estimate <= quad.tol:
-            return fine, fine_dt
-        coarse, coarse_dt = fine, fine_dt
+            return fine
+        coarse = fine
     raise AccuracyError(
-        f"convolution quadrature did not reach tol = {quad.tol:.3g} at t = {t:.3g} "
-        f"(last Richardson estimate {estimate:.3g})", estimate=estimate)
+        f"convolution quadrature did not reach tol = {quad.tol:.3g} on [0, {horizon:.3g}] "
+        f"(last step-halving estimate {estimate:.3g})", estimate=estimate)
 
 
 def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig(),
@@ -182,8 +229,8 @@ def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig(),
     if n_modes is None:
         n_modes = np.asarray(f(0.0).coeffs).size
     table = table or mode_table(p, n_modes)
-    coeffs, _ = _convolved(f, float(t), n_modes, quad, table, with_dt=False)
-    return SineSpectrum(l=p.l, coeffs=coeffs)
+    coeffs, _ = _forced(f, table, np.array([float(t)]), quad, with_dt=False)
+    return SineSpectrum(l=p.l, coeffs=coeffs[:, 0])
 
 
 def solve_linear(prob: LinearProblem, grid: GridSpec,
@@ -199,34 +246,26 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     if prob.f is not None:
         n = max(n, np.asarray(prob.f(0.0).coeffs).size)
     table = mode_table(p, n)
-    g0c = _pad(prob.g0.coeffs, n)
-    g1c = _pad(prob.g1.coeffs, n)
-    if np.any(grid.t_nodes > prob.horizon + 1e-12) or np.any(grid.t_nodes < 0):
+    g0c = _pad(prob.g0.coeffs, n)[:, None]
+    g1c = _pad(prob.g1.coeffs, n)[:, None]
+    ts = grid.t_nodes
+    if np.any(ts > prob.horizon + 1e-12) or np.any(ts < 0):
         raise ValueError("grid times must lie in [0, horizon]")
-    nx, nt = grid.x_nodes.size, grid.t_nodes.size
-    values = np.zeros((nx, nt))
-    values_dt = np.zeros((nx, nt)) if grid.with_dt else None
     sin_mat = np.sin(np.outer(grid.x_nodes, table.gamma))
     boundary = (grid.x_nodes == 0.0) | (grid.x_nodes == p.l)
     sin_mat[boundary, :] = 0.0
-    for j, t in enumerate(grid.t_nodes):
-        hv = kernel_values(table, float(t))
-        hd = kernel_dt_values(table, float(t))
-        coeffs = g1c * hv + g0c * (hd + 2.0 * table.h * hv)
+    hv = kernel_values(table, ts)
+    hd = kernel_dt_values(table, ts)
+    coeffs = g1c * hv + g0c * (hd + 2.0 * table.h[:, None] * hv)
+    dt_coeffs = g1c * hd - g0c * (table.b**2)[:, None] * hv if grid.with_dt else None
+    if prob.f is not None:
+        uf, uf_dt = _forced(prob.f, table, ts, quad, grid.with_dt)
+        coeffs = coeffs - uf
         if grid.with_dt:
-            dt_coeffs = g1c * hd - g0c * table.b**2 * hv
-        if prob.f is not None:
-            uf, uf_dt = _convolved(prob.f, float(t), n, quad, table,
-                                   with_dt=grid.with_dt)
-            coeffs = coeffs - uf
-            if grid.with_dt:
-                dt_coeffs = dt_coeffs - uf_dt
-        values[:, j] = sin_mat @ coeffs
-        if grid.with_dt:
-            values_dt[:, j] = sin_mat @ dt_coeffs
-    return Field(x_nodes=grid.x_nodes.copy(), t_nodes=grid.t_nodes.copy(),
-                 values=values, values_dt=values_dt)
-
+            dt_coeffs = dt_coeffs - uf_dt
+    values_dt = sin_mat @ dt_coeffs if grid.with_dt else None
+    return Field(x_nodes=grid.x_nodes.copy(), t_nodes=ts.copy(),
+                 values=sin_mat @ coeffs, values_dt=values_dt)
 
 def residual(p: Params, u: Field, f_values) -> float:
     """Sup-norm of the discrete operator residual L u - f on interior nodes.

@@ -12,7 +12,8 @@ Volterra convolution with the kernel H_n.
 
 The Volterra integrals use end-corrected trapezoid (Gregory) weights of
 order four, evaluated as one FFT convolution per mode plus boundary
-fixups, so a sweep costs O(n_modes * nt log nt).  Because the integral
+fixups, so a sweep costs O(n_modes * nt log nt); ``volterra_convolve`` is
+also the source-convolution rule of the linear solver.  Because the integral
 operator is of Volterra type the iteration converges on any window, but
 the iteration count grows with the window length; long horizons are
 integrated window by window, restarting from the computed end state
@@ -37,7 +38,6 @@ from scipy.signal import fftconvolve
 from . import green_kernel
 from .errors import NumericalError
 from .fields import Field
-from .linear_solver import QuadConfig, forced_response
 from .modes import Params, kernel_dt_values, kernel_values, mode_table
 from .sources import (
     AlgebraicSource,
@@ -55,7 +55,6 @@ __all__ = [
     "PicardConfig",
     "PicardReport",
     "NonlinearProblem",
-    "picard_step",
     "picard_solve",
     "sine_gordon_apriori_bound",
 ]
@@ -196,53 +195,12 @@ def _dependent_spectra(source: SourceTerm, u_interior: np.ndarray,
     return fhat
 
 
-def picard_step(p: Params, linear_part: Field, u_prev: Field, source: SourceTerm,
-                n_modes: int = 32, quad: QuadConfig = QuadConfig()) -> Field:
-    """One sweep of the fixed-point map: linear part minus G * F(u_prev).
-
-    The fields must share a uniform collocation grid.  A zero source
-    returns the linear part; a linear source is routed through the
-    adaptive convolution quadrature of the linear solver and is therefore
-    independent of ``u_prev``.
-    """
-    x, t = u_prev.x_nodes, u_prev.t_nodes
-    if linear_part.values.shape != u_prev.values.shape:
-        raise ValueError("linear part and iterate must share one grid")
-    if isinstance(source, ZeroSource):
-        return Field(x.copy(), t.copy(), linear_part.values.copy())
-    nx = x.size
-    sin_full = np.sin(np.outer(x, np.arange(1, n_modes + 1) * (math.pi / p.l)))
-    sin_full[(x == 0.0) | (x == p.l), :] = 0.0
-    if isinstance(source, LinearSource):
-        values = linear_part.values.copy()
-        table = mode_table(p, n_modes)
-        for j, tj in enumerate(t):
-            if tj == 0.0:
-                continue
-            uf = forced_response(p, source.f, float(tj), quad=quad,
-                                 n_modes=n_modes, table=table)
-            values[:, j] -= sin_full @ uf.coeffs
-        return Field(x.copy(), t.copy(), values)
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-9):
-        raise ValueError("picard_step requires a uniform time grid")
-    dt_step = float(dts[0])
-    table = mode_table(p, n_modes)
-    kern = kernel_values(table, t - t[0])
-    m_intervals = nx - 1
-    bias_coeffs = None
-    if isinstance(source, SineGordonSource):
-        bias_coeffs = constant_coefficients(-source.bias, p.l, n_modes)
+def _spectra(compute, *args) -> np.ndarray:
+    """Call a spectra routine, reporting a failing source as one error kind."""
     try:
-        if depends_on_u(source):
-            fhat = _dependent_spectra(source, u_prev.values[1:-1, :], x[1:-1],
-                                      t, m_intervals, n_modes, bias_coeffs)
-        else:
-            fhat = _independent_spectra(source, p, n_modes, t)
+        return compute(*args)
     except Exception as exc:
         raise RuntimeError(f"source evaluation failed: {exc}") from exc
-    uf = volterra_convolve(kern, fhat, dt_step)
-    return Field(x.copy(), t.copy(), linear_part.values - sin_full @ uf)
 
 
 def _window_sweeps(p, table, sin_int, x_int, g0c, g1c, source, t_abs, dt, cfg,
@@ -259,7 +217,7 @@ def _window_sweeps(p, table, sin_int, x_int, g0c, g1c, source, t_abs, dt, cfg,
     if isinstance(source, ZeroSource):
         return lin, lin_dt, np.zeros((n_modes, nt)), [0.0], True
     if not depends_on_u(source):
-        fhat = _independent_spectra(source, p, n_modes, t_abs)
+        fhat = _spectra(_independent_spectra, source, p, n_modes, t_abs)
         uf = volterra_convolve(hmat, fhat, dt)
         return lin - uf, lin_dt, fhat, [float(np.max(np.abs(sin_int @ uf)))], True
 
@@ -268,8 +226,8 @@ def _window_sweeps(p, table, sin_int, x_int, g0c, g1c, source, t_abs, dt, cfg,
     residuals = []
     fhat = None
     for _ in range(cfg.max_iter):
-        fhat = _dependent_spectra(source, grid, x_int, t_abs, m_intervals,
-                                  n_modes, bias_coeffs)
+        fhat = _spectra(_dependent_spectra, source, grid, x_int, t_abs,
+                        m_intervals, n_modes, bias_coeffs)
         modal_next = lin - volterra_convolve(hmat, fhat, dt)
         grid_next = sin_int @ modal_next
         if not np.all(np.isfinite(grid_next)):

@@ -2,9 +2,11 @@
 
 import mpmath as mp
 import numpy as np
+from scipy.fft import dst
 
 from strip_solver.green_kernel import green_profile, plan_truncation
-from strip_solver.modes import kernel_eval
+from strip_solver.modes import kernel_eval, kernel_values, mode_table
+from strip_solver.nonlinear_solver import volterra_convolve
 
 
 def brute_green(p, x, xi, t, n_terms=4000, kind="green"):
@@ -72,3 +74,22 @@ def pde_residual_sup(p, xs, ts, xi, dx=1e-3, dt=1e-4, plan_tol=1e-4):
         gt_mid = green_profile(p, xs, t=t, kind="dt", **args)
         worst = max(worst, float(np.max(np.abs(flux_xx - gt_rate - p.a * gt_mid))))
     return worst
+
+
+def sine_gordon_sweep(p, linear_part, u, bias, n_modes):
+    """One fixed-point sweep u -> u_linear - G * (sin(u) - bias), as values.
+
+    Both fields share a collocation grid that is uniform in x and t and
+    starts at t = 0.  The sine spectra of sin(u) come from a type-1 DST of
+    the interior samples; the constant bias uses its exact coefficients
+    2*(1 - (-1)^n)/(n*pi).
+    """
+    x, t = u.x_nodes, u.t_nodes
+    table = mode_table(p, n_modes)
+    n = np.arange(1, n_modes + 1)
+    fhat = dst(np.sin(u.values[1:-1, :]), type=1, axis=0)[:n_modes, :] / (x.size - 1)
+    fhat -= (bias * 2.0 * (1.0 - (-1.0) ** n) / (n * np.pi))[:, None]
+    uf = volterra_convolve(kernel_values(table, t), fhat, t[1] - t[0])
+    sin_full = np.sin(np.outer(x, table.gamma))
+    sin_full[[0, -1], :] = 0.0
+    return linear_part.values - sin_full @ uf

@@ -83,6 +83,43 @@ class TestForcedResponse:
         assert info.value.estimate is not None
 
 
+class TestSourceQuadrature:
+    """The forced part samples f once per grid and halves the grid to tol."""
+
+    def test_c6_first_half_samples_source_once_per_node(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return SineSpectrum(l=L, coeffs=np.array([math.exp(-0.25 * t)]))
+
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 40.0)
+        grid = GridSpec(x_nodes=np.linspace(0.0, L, 33), t_nodes=np.linspace(0.5, 40.0, 80))
+        solve_linear(prob, grid, QuadConfig(tol=1e-10))
+        assert len(calls) <= 20_000
+
+    def test_constant_source_off_grid_times(self):
+        tol = 1e-10
+        ts = np.unique(np.concatenate([np.linspace(1.0, 5.0, 10),
+                                       np.geomspace(5.0, 100.0, 40)]))
+        xs = np.linspace(0.0, L, 33)
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 100.0)
+        fld = solve_linear(prob, GridSpec(x_nodes=xs, t_nodes=ts, with_dt=True),
+                           QuadConfig(tol=tol))
+        exact = np.outer(np.sin(xs), -(1.0 - (1.0 + ts) * np.exp(-ts)))
+        exact_dt = np.outer(np.sin(xs), -ts * np.exp(-ts))
+        assert np.max(np.abs(fld.values - exact)) <= tol
+        assert np.max(np.abs(fld.values_dt - exact_dt)) <= tol
+
+    def test_unreachable_tolerance_raises_from_solver(self):
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 3.0)
+        grid = GridSpec(x_nodes=np.linspace(0.0, L, 9), t_nodes=np.array([0.7, 3.0]),
+                        with_dt=True)
+        with pytest.raises(AccuracyError) as info:
+            solve_linear(prob, grid, QuadConfig(tol=1e-30, max_doublings=1))
+        assert 1e-30 < info.value.estimate < 1e-3
+
+
 class TestSolveLinear:
     def grid(self, T=3.0, nx=41, nt=31, with_dt=False):
         return GridSpec(x_nodes=np.linspace(0.0, L, nx),
@@ -121,6 +158,17 @@ class TestSolveLinear:
                  + solve_linear(LinearProblem(P_EQ, zero_spec(), g1, None, 2.0), grid, QUAD).values
                  + solve_linear(LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 2.0), grid, QUAD).values)
         assert np.max(np.abs(full.values - parts)) < 1e-12
+
+    def test_matches_propagators_time_by_time(self):
+        g0 = analyze(make_profile("bump", L), 16, l=L)
+        g1 = analyze(make_profile("poly", L), 16, l=L)
+        grid = self.grid(T=2.0, nx=17, nt=9)
+        fld = solve_linear(LinearProblem(P_EQ, g0, g1, None, 2.0), grid)
+        for j, t in enumerate(grid.t_nodes):
+            coeffs = (propagate_velocity(P_EQ, g1, t).coeffs
+                      + propagate_displacement(P_EQ, g0, t).coeffs)
+            column = synthesize(SineSpectrum(l=L, coeffs=coeffs), grid.x_nodes)
+            assert np.max(np.abs(fld.values[:, j] - column)) < 1e-14
 
     def test_boundary_rows_zero(self):
         prob = LinearProblem(P_EQ, mode1(), mode1(), None, 1.0)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import P_EQ
+from helpers import sine_gordon_sweep
 from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
-from strip_solver.fields import Field
 from strip_solver.linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 from strip_solver.nonlinear_solver import (
     NonlinearProblem,
     PicardConfig,
     picard_solve,
-    picard_step,
     sine_gordon_apriori_bound,
     volterra_convolve,
 )
@@ -30,11 +29,6 @@ L = math.pi
 
 def spec(coeffs):
     return SineSpectrum(l=L, coeffs=np.asarray(coeffs, dtype=float))
-
-
-def collocation_grid(T, nx=65, dt=0.01):
-    return GridSpec(x_nodes=np.linspace(0.0, L, nx),
-                    t_nodes=np.linspace(0.0, T, round(T / dt) + 1))
 
 
 class TestVolterraConvolve:
@@ -58,36 +52,6 @@ class TestVolterraConvolve:
         assert errs[0] / errs[1] > 6.0 and errs[1] / errs[2] > 6.0
 
 
-class TestPicardStep:
-    def test_zero_source_returns_linear_part(self):
-        grid = collocation_grid(1.0, nx=33, dt=0.05)
-        prob = LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 1.0)
-        lin = solve_linear(prob, grid)
-        out = picard_step(P_EQ, lin, lin, ZeroSource())
-        assert np.array_equal(out.values, lin.values)
-
-    def test_sine_source_at_rest_returns_linear_part(self):
-        grid = collocation_grid(1.0, nx=33, dt=0.05)
-        prob = LinearProblem(P_EQ, spec([0.0]), spec([0.0]), None, 1.0)
-        lin = solve_linear(prob, grid)
-        rest = Field(lin.x_nodes.copy(), lin.t_nodes.copy(), np.zeros_like(lin.values))
-        out = picard_step(P_EQ, lin, rest, SineGordonSource(bias=0.0), n_modes=16)
-        assert np.max(np.abs(out.values - lin.values)) == 0.0
-
-    def test_linear_source_matches_solver_and_ignores_iterate(self):
-        grid = collocation_grid(2.0, nx=33, dt=0.1)
-        f = lambda t: spec([math.exp(-0.3 * t), 0.2])
-        quad = QuadConfig(tol=1e-12)
-        prob = LinearProblem(P_EQ, spec([0.05]), spec([0.0]), f, 2.0)
-        reference = solve_linear(prob, grid, quad)
-        lin = solve_linear(LinearProblem(P_EQ, spec([0.05]), spec([0.0]), None, 2.0),
-                           grid, quad)
-        for seed_vals in (np.zeros_like(lin.values), np.ones_like(lin.values)):
-            seed = Field(lin.x_nodes.copy(), lin.t_nodes.copy(), seed_vals)
-            out = picard_step(P_EQ, lin, seed, LinearSource(f), n_modes=8, quad=quad)
-            assert np.max(np.abs(out.values - reference.values)) < 1e-10
-
-
 class TestPicardSolve:
     def small_problem(self, source, T=5.0):
         return NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
@@ -100,6 +64,33 @@ class TestPicardSolve:
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         lin = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 2.0), grid)
         assert np.max(np.abs(fld.values - lin.values)) < 1e-13
+
+    def test_zero_source_returns_linear_part(self):
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1, 0.0, -0.05]), g1=spec([0.0, 0.2]),
+                                source=ZeroSource(), horizon=1.0)
+        fld, _ = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8))
+        grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
+        lin = solve_linear(LinearProblem(P_EQ, prob.g0, prob.g1, None, 1.0), grid)
+        assert np.array_equal(fld.values, lin.values)
+
+    def test_sine_source_at_rest_returns_linear_part(self):
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.0]), g1=spec([0.0]),
+                                source=SineGordonSource(bias=0.0), horizon=1.0)
+        fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=16))
+        assert rep.converged and rep.iterations == 1
+        assert np.all(fld.values == 0.0)
+
+    def test_linear_source_matches_linear_solver(self):
+        # the collocation step bounds the agreement, as for the exp source
+        f = lambda t: spec([math.exp(-0.3 * t), 0.2])
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.05]), g1=spec([0.0]),
+                                source=LinearSource(f), horizon=2.0)
+        fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.01, n_modes=8))
+        assert rep.converged and rep.iterations == 1
+        grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
+        reference = solve_linear(LinearProblem(P_EQ, spec([0.05]), spec([0.0]), f, 2.0),
+                                 grid, QuadConfig(tol=1e-12))
+        assert np.max(np.abs(fld.values - reference.values)) < 1e-5
 
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))
@@ -127,8 +118,8 @@ class TestPicardSolve:
         assert rep.converged
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         lin = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 3.0), grid)
-        again = picard_step(P_EQ, lin, fld, SineGordonSource(bias=0.2), n_modes=32)
-        assert np.max(np.abs(again.values - fld.values)) <= 2.0 * tol
+        again = sine_gordon_sweep(P_EQ, lin, fld, bias=0.2, n_modes=32)
+        assert np.max(np.abs(again - fld.values)) <= 2.0 * tol
 
     def test_sine_gordon_matches_oracle(self):
         prob = self.small_problem(SineGordonSource(bias=0.0), T=5.0)
@@ -195,8 +186,13 @@ class TestSourceFailure:
         def explode(x, t, u):
             raise RuntimeError("sensor offline")
 
-        grid = collocation_grid(0.5, nx=33, dt=0.05)
-        prob = LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 0.5)
-        lin = solve_linear(prob, grid)
-        with pytest.raises(RuntimeError, match="source evaluation failed"):
-            picard_step(P_EQ, lin, lin, CustomSource(fn=explode), n_modes=8)
+        def reject(x, t, u):
+            raise ValueError("bad reading")
+
+        cfg = PicardConfig(nx=33, dt=0.05, n_modes=8)
+        for fn, kind in ((explode, RuntimeError), (reject, ValueError)):
+            prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                    source=CustomSource(fn=fn), horizon=0.5)
+            with pytest.raises(RuntimeError, match="source evaluation failed") as info:
+                picard_solve(prob, cfg)
+            assert type(info.value.__cause__) is kind
