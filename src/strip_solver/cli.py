@@ -478,15 +478,24 @@ def run(argv) -> int:
             casters[action.dest] = action.type or _parse_bool
         _apply_config(args, casters, getattr(args, "config", None))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # numerical failures
+    except Exception as exc:
+        if _is_usage_error(exc):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+
+def _is_usage_error(exc: Exception) -> bool:
+    """Bad input (exit 1) as opposed to a numerical failure (exit 2).
+
+    numpy's LinAlgError subclasses ValueError, but it reports a failed
+    factorisation, not bad input.  numpy is loaded whenever one was raised.
+    """
+    linalg = sys.modules.get("numpy.linalg")
+    if linalg is not None and isinstance(exc, linalg.LinAlgError):
+        return False
+    return isinstance(exc, (UsageError, ValueError, TypeError))
 
 
 def main() -> int:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import TruncationError
 from .modes import (
-    ModeTable,
     Params,
     classify_modes,
     decay_rate_p,
@@ -43,6 +42,7 @@ from .modes import (
     kernel_values,
     mode_table,
     sigma_rate,
+    term_bounds,
 )
 
 __all__ = [
@@ -83,43 +83,6 @@ def decay_constants(p: Params) -> DecayConstants:
     rate_p = decay_rate_p(p)
     rate_q = 0.5 * (p.a + p.epsilon * (math.pi / p.l) ** 2)
     return DecayConstants(p=rate_p, q=rate_q, beta=min(rate_p, rate_q))
-
-
-def _per_term_bounds(table: ModeTable, p: Params, t: float, k: float, kind: str) -> np.ndarray:
-    """Certified upper bounds on the series terms for every table mode."""
-    rk = 1.0 / math.sqrt(1.0 - k)
-    sigma = sigma_rate(p)
-    rate_p = decay_rate_p(p)
-    c2 = p.c**2
-    h, om, n = table.h, table.omega, table.n
-    dm, dp = table.dm, table.dp
-    decay_h = np.exp(-h * t)
-    decay_dm = np.exp(-dm * t)
-    om_safe = np.where(om > 0, om, 1.0)
-    osc_amp = np.minimum(t, 1.0 / om_safe)        # |sin(om t)|/om <= min(t, 1/om)
-    eligible = table.over & ((table.b / h) ** 2 <= k)
-
-    if kind == "green":
-        out = np.where(table.osc, decay_h * osc_amp, t * decay_h)
-        direct = decay_dm * np.minimum(t, 0.5 / om_safe)
-        out = np.where(table.over, direct, out)
-        out = np.where(eligible, (rk / sigma) * math.exp(-rate_p * t) / n**2, out)
-        return out
-    if kind == "dt":
-        out = np.where(table.osc, decay_h * (1.0 + h * osc_amp), (1.0 + h * t) * decay_h)
-        split = (dp * np.exp(-dp * t) + dm * decay_dm) / (2.0 * om_safe)
-        fallback = (1.0 + h * t) * decay_dm
-        out = np.where(table.over, np.minimum(split, fallback), out)
-        return out
-    if kind == "flux":
-        amp = p.epsilon + np.abs(c2 - p.epsilon * h) * np.where(table.osc, osc_amp, t)
-        out = decay_h * amp
-        coef_slow = c2 * np.abs(p.a - dm) / dp
-        split = (coef_slow * decay_dm + np.abs(c2 - p.epsilon * dp) * np.exp(-dp * t)) / (2.0 * om_safe)
-        fallback = decay_dm * (p.epsilon + np.abs(c2 - p.epsilon * h) * t)
-        out = np.where(table.over, np.minimum(split, fallback), out)
-        return out
-    raise ValueError(f"unknown series kind {kind!r}")
 
 
 def _closed_tail(p: Params, t: float, k: float, kind: str, n0: int) -> float:
@@ -166,9 +129,7 @@ def plan_truncation(p: Params, t: float, tol: float, *, k: float = 0.5,
     cls = classify_modes(p, k)
     n_free = max(cls.nk, cls.n2_star)
     head_table = mode_table(p, n_free - 1) if n_free > 1 else None
-    head_bounds = (
-        _per_term_bounds(head_table, p, t, k, kind) if head_table is not None else None
-    )
+    head_bounds = term_bounds(head_table, p, t, k, kind) if head_table is not None else None
     two_over_l = 2.0 / p.l
 
     def tail(n: int) -> float:
@@ -215,8 +176,31 @@ def _series_eval(p: Params, xs: np.ndarray, xi: float, t: float, kind: str,
     else:
         vals = flux_values(table, t)
     weights = vals * np.sin(table.gamma * xi)
-    out[interior] = (2.0 / p.l) * (np.sin(np.outer(xs[interior], table.gamma)) @ weights)
+    out[interior] = (2.0 / p.l) * _sine_synthesis(xs[interior] * (math.pi / p.l), weights)
     return out
+
+
+def _sine_synthesis(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{n=1..N} w_n sin(n*theta) at every theta, by blocked angle addition.
+
+    With n = q*B + m, B = isqrt(N), q = 0..Q-1 and m = 1..B,
+
+        sin(n*theta) = sin(q*B*theta)*cos(m*theta) + cos(q*B*theta)*sin(m*theta),
+
+    so the sum is two (nx x B) @ (B x Q) products of the in-block sines and
+    cosines with the weights, recombined with the block sines and cosines:
+    2*nx*(B + Q) trig calls instead of nx*N.
+    """
+    n_terms = weights.size
+    block = math.isqrt(n_terms)
+    n_blocks = -(-n_terms // block)
+    w = np.zeros(n_blocks * block)
+    w[:n_terms] = weights
+    w = w.reshape(n_blocks, block).T           # w[m - 1, q] = w_{q*B + m}
+    in_phase = np.outer(theta, np.arange(1, block + 1))
+    block_phase = np.outer(theta, block * np.arange(n_blocks))
+    return np.sum(np.sin(block_phase) * (np.cos(in_phase) @ w)
+                  + np.cos(block_phase) * (np.sin(in_phase) @ w), axis=1)
 
 
 def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",

@@ -49,6 +49,7 @@ __all__ = [
     "flux_values",
     "classify_modes",
     "term_bound",
+    "term_bounds",
     "CRITICAL_REL_TOL",
     "SERIES_SWITCH",
 ]
@@ -224,65 +225,89 @@ def mode_params(p: Params, n: int) -> ModeParams:
     )
 
 
+def _maclaurin(table: ModeTable, col, tt, which: str):
+    """Small-phase branch |omega*t| < SERIES_SWITCH; exact at t = 0.
+
+    The series runs in y = sign*(omega*t)^2 (sinh(x)/x and cosh(x), or
+    sin(x)/x and cos(x), by the sign of the mode).
+    """
+    h = col(table.h)
+    x = col(table.omega) * tt
+    y = col(table.sign) * x * x
+    sinc_s = 1.0 + y / 6.0 * (1.0 + y / 20.0 * (1.0 + y / 42.0))
+    decay = np.exp(-h * tt)
+    if which == "H":
+        return tt * decay * sinc_s
+    cosh_s = 1.0 + y / 2.0 * (1.0 + y / 12.0 * (1.0 + y / 30.0))
+    if which == "Hdot":
+        return decay * (cosh_s - h * tt * sinc_s)
+    eps = table.epsilon
+    return decay * (eps * cosh_s + (table.c**2 - eps * h) * tt * sinc_s)
+
+
+def _oscillatory(table: ModeTable, col, tt, which: str):
+    """sin-type branch; the phase x = omega*t is at least SERIES_SWITCH."""
+    h = col(table.h)
+    x = col(table.omega) * tt
+    decay = np.exp(-h * tt)
+    sinc_o = np.sin(x) / x
+    if which == "H":
+        return decay * tt * sinc_o
+    cos_o = np.cos(x)
+    if which == "Hdot":
+        return decay * (cos_o - h * tt * sinc_o)
+    eps = table.epsilon
+    return decay * (eps * cos_o + (table.c**2 - eps * h) * tt * sinc_o)
+
+
+def _overdamped(table: ModeTable, col, tt, which: str):
+    """Split into two exponentials whose exponents are non-positive."""
+    dm = col(table.dm)
+    dp = col(table.dp)
+    two_om = 2.0 * col(table.omega)
+    e_slow = np.exp(-dm * tt)
+    e_fast = np.exp(-dp * tt)
+    if which == "H":
+        return (e_slow - e_fast) / two_om
+    if which == "Hdot":
+        return (dp * e_fast - dm * e_slow) / two_om
+    c2 = table.c**2
+    # stable slow coefficient: c^2 - eps*dm = c^2*(a - dm)/(h + omega)
+    coef_slow = c2 * (table.a - dm) / dp
+    coef_fast = c2 - table.epsilon * dp
+    return (coef_slow * e_slow - coef_fast * e_fast) / two_om
+
+
 def _kernel_core(table: ModeTable, t, which: str):
     """Evaluate H, H' or eps*H' + c^2*H for all table modes.
 
     ``t`` may be a scalar or a 1-D array of non-negative times; the result
     has shape (n_modes,) for scalar t and (n_modes, len(t)) otherwise.
+
+    Every (mode, time) element goes through exactly one branch, chosen by
+    its phase omega*t and the mode's regime: the Maclaurin series below
+    SERIES_SWITCH (this covers critical modes, whose omega is 0), the
+    sin/cos form for oscillatory modes, and the two-exponential split for
+    overdamped ones.  Each branch evaluates its formula only on the
+    elements it owns: it gets ``col``, which maps a per-mode table array to
+    those elements, and their times ``tt``.
     """
+    if which not in ("H", "Hdot", "flux"):  # pragma: no cover
+        raise ValueError(f"unknown kernel kind {which!r}")
     tt = np.asarray(t, dtype=float)
     scalar_t = tt.ndim == 0
-    tt = np.atleast_1d(tt)[None, :]            # (1, K)
-    h = table.h[:, None]
-    om = table.omega[:, None]
-    x = om * tt                                 # phase |omega*t|
-    small = x < SERIES_SWITCH
-    osc_m = table.osc[:, None] & ~small
-    over_m = ~table.osc[:, None] & ~small
-
-    # Maclaurin branch in y = sign*(omega*t)^2; exact at t = 0.
-    y = table.sign[:, None] * x * x
-    sinc_s = 1.0 + y / 6.0 * (1.0 + y / 20.0 * (1.0 + y / 42.0))
-    cosh_s = 1.0 + y / 2.0 * (1.0 + y / 12.0 * (1.0 + y / 30.0))
-    decay = np.exp(-h * tt)
-
-    # sin-branch quantities (x >= SERIES_SWITCH keeps sin(x)/x well defined)
-    x_safe = np.where(x > 0, x, 1.0)
-    sinc_o = np.sin(x) / x_safe
-    cos_o = np.cos(x)
-
-    # overdamped split; exponents are non-positive by construction
-    dm = table.dm[:, None]
-    dp = table.dp[:, None]
-    two_om = np.where(om > 0, 2.0 * om, 1.0)
-    e_slow = np.exp(-dm * tt)
-    e_fast = np.exp(-dp * tt)
-
-    if which == "H":
-        out = np.where(
-            small, tt * decay * sinc_s,
-            np.where(osc_m, decay * tt * sinc_o, (e_slow - e_fast) / two_om),
-        )
-    elif which == "Hdot":
-        out = np.where(
-            small, decay * (cosh_s - h * tt * sinc_s),
-            np.where(osc_m, decay * (cos_o - h * tt * sinc_o),
-                     (dp * e_fast - dm * e_slow) / two_om),
-        )
-    elif which == "flux":
-        eps = table.epsilon
-        c2 = table.c**2
-        a = table.a
-        # stable slow coefficient: c^2 - eps*dm = c^2*(a - dm)/(h + omega)
-        coef_slow = c2 * (a - dm) / dp
-        coef_fast = c2 - eps * dp
-        out = np.where(
-            small, decay * (eps * cosh_s + (c2 - eps * h) * tt * sinc_s),
-            np.where(osc_m, decay * (eps * cos_o + (c2 - eps * h) * tt * sinc_o),
-                     (coef_slow * e_slow - coef_fast * e_fast) / two_om),
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kernel kind {which!r}")
+    tt = np.atleast_1d(tt)
+    small = table.omega[:, None] * tt[None, :] < SERIES_SWITCH
+    osc = table.osc[:, None]
+    masks = (small, osc & ~small, ~(osc | small))
+    shape = small.shape
+    out = np.empty(shape)
+    for mask, branch in zip(masks, (_maclaurin, _oscillatory, _overdamped)):
+        if mask.all():  # one branch for the whole table: broadcast, copy nothing
+            out[...] = branch(table, lambda v: v[:, None], tt[None, :], which)
+        elif mask.any():
+            out[mask] = branch(table, lambda v, m=mask: np.broadcast_to(v[:, None], shape)[m],
+                               np.broadcast_to(tt, shape)[mask], which)
     return out[:, 0] if scalar_t else out
 
 
@@ -370,24 +395,61 @@ def sigma_rate(p: Params) -> float:
     return 0.5 * p.epsilon * (math.pi / p.l) ** 2
 
 
-def term_bound(m: ModeParams, p: Params, t: float, k: float = 0.5) -> float:
-    """Certified upper bound on |H_n(t)|.
+def term_bounds(table: ModeTable, p: Params, t: float, k: float = 0.5,
+                kind: str = "green") -> np.ndarray:
+    """Certified upper bounds on the kernel of every table mode at time t.
 
-    Oscillatory modes use exp(-h*t)*min(t, 1/omega); critical modes use the
-    exact t*exp(-h*t).  Overdamped modes with (b/h)^2 <= k use the uniform
-    bound (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2; near-critical overdamped
-    modes (where that chain is invalid) fall back to the direct certified
-    bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).
+    ``kind`` selects the kernel: "green" bounds |H_n(t)|, "dt" bounds
+    |H_n'(t)| and "flux" bounds |eps*H_n'(t) + c^2*H_n(t)|.  For H,
+    oscillatory modes use exp(-h*t)*min(t, 1/omega) and critical modes the
+    exact t*exp(-h*t); overdamped modes with (b/h)^2 <= k use the uniform
+    bound (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2, and near-critical
+    overdamped modes (where that chain is invalid) fall back to the direct
+    bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).  The H' and flux bounds
+    take the smaller of the two-exponential split and the envelope bound.
+    """
+    rk = 1.0 / math.sqrt(1.0 - k)
+    sigma = sigma_rate(p)
+    rate_p = decay_rate_p(p)
+    c2 = p.c**2
+    h, om, n = table.h, table.omega, table.n
+    dm, dp = table.dm, table.dp
+    decay_h = np.exp(-h * t)
+    decay_dm = np.exp(-dm * t)
+    om_safe = np.where(om > 0, om, 1.0)
+    osc_amp = np.minimum(t, 1.0 / om_safe)        # |sin(om t)|/om <= min(t, 1/om)
+    eligible = table.over & ((table.b / h) ** 2 <= k)
+
+    if kind == "green":
+        out = np.where(table.osc, decay_h * osc_amp, t * decay_h)
+        direct = decay_dm * np.minimum(t, 0.5 / om_safe)
+        out = np.where(table.over, direct, out)
+        out = np.where(eligible, (rk / sigma) * math.exp(-rate_p * t) / n**2, out)
+        return out
+    if kind == "dt":
+        out = np.where(table.osc, decay_h * (1.0 + h * osc_amp), (1.0 + h * t) * decay_h)
+        split = (dp * np.exp(-dp * t) + dm * decay_dm) / (2.0 * om_safe)
+        fallback = (1.0 + h * t) * decay_dm
+        out = np.where(table.over, np.minimum(split, fallback), out)
+        return out
+    if kind == "flux":
+        amp = p.epsilon + np.abs(c2 - p.epsilon * h) * np.where(table.osc, osc_amp, t)
+        out = decay_h * amp
+        coef_slow = c2 * np.abs(p.a - dm) / dp
+        split = (coef_slow * decay_dm + np.abs(c2 - p.epsilon * dp) * np.exp(-dp * t)) / (2.0 * om_safe)
+        fallback = decay_dm * (p.epsilon + np.abs(c2 - p.epsilon * h) * t)
+        out = np.where(table.over, np.minimum(split, fallback), out)
+        return out
+    raise ValueError(f"unknown series kind {kind!r}")
+
+
+def term_bound(m: ModeParams, p: Params, t: float, k: float = 0.5) -> float:
+    """Certified upper bound on |H_n(t)| for mode m = mode_params(p, n).
+
+    One row of ``term_bounds``; see there for the bound in each regime.
     """
     _check_time(t)
     if not (0.0 < k < 1.0):
         raise ValueError(f"k must lie in (0, 1), got {k}")
-    if m.regime is Regime.OSCILLATORY:
-        return math.exp(-m.h * t) * min(t, 1.0 / m.omega)
-    if m.regime is Regime.CRITICAL:
-        return t * math.exp(-m.h * t)
-    x_n = (m.b / m.h) ** 2
-    if x_n <= k:
-        c_k = 1.0 / (math.sqrt(1.0 - k) * sigma_rate(p))
-        return c_k * math.exp(-decay_rate_p(p) * t) / m.n**2
-    return math.exp(-m.slow_rate * t) * min(t, 0.5 / m.omega)
+    row = _build_table(p.epsilon, p.a, p.c, p.l, np.array([float(m.n)]))
+    return float(term_bounds(row, p, float(t), k)[0])

@@ -203,13 +203,14 @@ def _spectra(compute, *args) -> np.ndarray:
         raise RuntimeError(f"source evaluation failed: {exc}") from exc
 
 
-def _window_sweeps(p, table, sin_int, x_int, g0c, g1c, source, t_abs, dt, cfg,
-                   bias_coeffs):
-    """Iterate one window to tolerance; return modal history and trace."""
+def _window_sweeps(p, table, hmat, hdmat, sin_int, x_int, g0c, g1c, source, t_abs,
+                   dt, cfg, bias_coeffs):
+    """Iterate one window to tolerance; return modal history and trace.
+
+    ``hmat`` and ``hdmat`` hold H_n and H_n' at the window's relative times
+    t_abs - t_abs[0].
+    """
     n_modes, nt = table.n_modes, t_abs.size
-    t_rel = t_abs - t_abs[0]
-    hmat = kernel_values(table, t_rel)
-    hdmat = kernel_dt_values(table, t_rel)
     lin = g1c[:, None] * hmat + g0c[:, None] * (hdmat + 2.0 * table.h[:, None] * hmat)
     lin_dt = g1c[:, None] * hdmat - g0c[:, None] * (table.b**2)[:, None] * hmat
     m_intervals = sin_int.shape[0] + 1
@@ -275,16 +276,25 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     all_converged = True
     t0 = 0.0
     min_steps = 8
+    # (length, steps) -> (H, H') at the window's relative times; windows of
+    # equal length share them
+    kernels = {}
     while t0 < prob.horizon - 1e-12 * prob.horizon:
         t1 = min(t0 + window, prob.horizon)
-        steps = max(2, round((t1 - t0) / cfg.dt))
-        t_abs = t0 + (t1 - t0) * np.arange(steps + 1) / steps
-        dt = (t1 - t0) / steps
+        span = t1 - t0
+        steps = max(2, round(span / cfg.dt))
+        t_rel = span * np.arange(steps + 1) / steps
+        t_abs = t0 + t_rel
+        dt = span / steps
+        if (span, steps) not in kernels:
+            kernels[span, steps] = (kernel_values(table, t_rel),
+                                    kernel_dt_values(table, t_rel))
+        hmat, hdmat = kernels[span, steps]
         modal, lin_dt, fhat, res, ok = _window_sweeps(
-            p, table, sin_int, x[1:-1], g0c, g1c, prob.source, t_abs, dt, cfg,
-            bias_coeffs)
+            p, table, hmat, hdmat, sin_int, x[1:-1], g0c, g1c, prob.source, t_abs, dt,
+            cfg, bias_coeffs)
         if not ok and steps > min_steps:
-            window = max((t1 - t0) / 2.0, min_steps * cfg.dt)
+            window = max(span / 2.0, min_steps * cfg.dt)
             continue
         iterations += len(res)
         residuals_flat.extend(res)
@@ -293,7 +303,6 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
         all_converged &= ok
         modal_dt_end = lin_dt[:, -1]
         if fhat is not None and not isinstance(prob.source, ZeroSource):
-            hdmat = kernel_dt_values(table, t_abs - t0)
             modal_dt_end = modal_dt_end - volterra_convolve(hdmat, fhat, dt)[:, -1]
         start = 1 if t_cols else 0
         t_cols.append(t_abs[start:])

@@ -111,6 +111,19 @@ class TestContract:
         assert res.returncode == 2
         assert "numerical failure" in res.stderr
 
+    def test_linalg_error_is_numerical_failure(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but is not a usage error
+        import numpy as np
+
+        from strip_solver import cli
+
+        def failing_factorisation(args):
+            return np.linalg.cholesky(-np.eye(2))
+
+        monkeypatch.setitem(cli._COMMANDS, "modes", failing_factorisation)
+        assert cli.run(["modes", "--n", "2"]) == 2
+        assert "numerical failure: LinAlgError" in capsys.readouterr().err
+
     def test_missing_config_file(self):
         res = run_cli("modes", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 1

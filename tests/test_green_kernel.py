@@ -7,6 +7,7 @@ from conftest import ALL_PARAM_SETS, P_EQ, P_LESS
 from helpers import brute_green, pde_residual_sup
 from strip_solver.errors import TruncationError
 from strip_solver.green_kernel import (
+    _sine_synthesis,
     decay_constants,
     flux_eval,
     green_dt_eval,
@@ -145,3 +146,16 @@ class TestDecayEnvelopes:
                 prof = green_profile(P_EQ, xs, 1.3, t, kind=kind, tol=tol)
                 env = max(env, float(np.max(np.abs(prof))) * math.exp(beta * t))
             assert math.isfinite(env) and env < 10.0
+
+
+class TestSineSynthesis:
+    @pytest.mark.parametrize("n_terms", [1, 2, 3, 7, 1000, 170_000])
+    def test_matches_direct_sum(self, n_terms):
+        # random signs, decaying like the 1/n^2 kernel bound the series sums
+        rng = np.random.default_rng(n_terms)
+        n = np.arange(1, n_terms + 1)
+        weights = rng.uniform(-1.0, 1.0, n_terms) / n**2
+        theta = np.linspace(0.0, math.pi, 21)
+        direct = np.sin(np.outer(theta, n)) @ weights
+        blocked = _sine_synthesis(theta, weights)
+        assert np.max(np.abs(blocked - direct)) <= 1e-14 * np.sum(np.abs(weights))

@@ -7,6 +7,7 @@ from conftest import P_EQ
 from strip_solver.errors import AccuracyError
 from strip_solver.green_kernel import decay_constants
 from strip_solver.asymptotics import decay_fit
+from strip_solver.modes import kernel_dt_values, kernel_values, mode_table
 from strip_solver.linear_solver import (
     GridSpec,
     LinearProblem,
@@ -81,6 +82,18 @@ class TestForcedResponse:
         with pytest.raises(AccuracyError) as info:
             forced_response(P_EQ, lambda t: mode1(), 2.0, quad)
         assert info.value.estimate is not None
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
+    def test_unresolved_fast_modes_meet_tolerance(self, tol):
+        # mode 64 decays at dp ~ 4096, unresolved by the first grids; its
+        # error converges at first order there, not third
+        n = 64
+        f = lambda t: SineSpectrum(l=L, coeffs=np.ones(n))
+        out = forced_response(P_EQ, f, 1.0, QuadConfig(tol=tol))
+        table = mode_table(P_EQ, n)
+        exact = ((1.0 - kernel_dt_values(table, 1.0) - 2.0 * table.h * kernel_values(table, 1.0))
+                 / table.b**2)
+        assert np.max(np.abs(out.coeffs - exact)) <= tol
 
 
 class TestSourceQuadrature:

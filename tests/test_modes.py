@@ -1,17 +1,21 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import ALL_PARAM_SETS, P_EQ, P_GTR, P_LESS
 from helpers import mode_ode_residual
 from strip_solver.modes import (
+    SERIES_SWITCH,
     ModeParams,
     Params,
     Regime,
     classify_modes,
     flux_kernel_eval,
+    flux_values,
     kernel_dt_eval,
+    kernel_dt_values,
     kernel_eval,
     kernel_values,
     mode_params,
@@ -134,6 +138,54 @@ class TestKernel:
                                  slow_rate=h)
                 assert kernel_eval(over, t) == pytest.approx(ref, abs=1e-8)
                 assert kernel_eval(osc, t) == pytest.approx(ref, abs=1e-8)
+
+
+def textbook_kernels(p, n, t):
+    """H, H' and eps*H' + c^2*H from exp/sinh/sin forms in 60-digit arithmetic.
+
+    Returns the three values and the size of each formula's terms (sin
+    bounded by its argument), the scale of its rounding in double precision:
+    relative to it, a zero crossing or a cancelling sum is well conditioned.
+    """
+    with mp.workdps(60):
+        g = n * mp.pi / mp.mpf(p.l)
+        b, h = p.c * g, (p.a + p.epsilon * g * g) / 2
+        w2 = h * h - b * b
+        w, t, e = mp.sqrt(abs(w2)), mp.mpf(t), mp.exp(-h * mp.mpf(t))
+        if w2 > 0:
+            sh, ch = mp.sinh(w * t) / w, mp.cosh(w * t)
+            hv, hd = e * sh, e * (ch - h * sh)
+            hv_size, hd_size = hv, e * (ch + h * sh)
+        elif w2 < 0:
+            hv, hd = e * mp.sin(w * t) / w, e * (mp.cos(w * t) - h * mp.sin(w * t) / w)
+            hv_size, hd_size = e * t, e * (1 + h * t)
+        else:
+            hv, hd = t * e, e * (1 - h * t)
+            hv_size, hd_size = hv, e * (1 + h * t)
+        values = (hv, hd, p.epsilon * hd + p.c**2 * hv)
+        sizes = (hv_size, hd_size, p.epsilon * hd_size + p.c**2 * hv_size)
+        return [float(v) for v in values], [float(s) for s in sizes]
+
+
+class TestKernelBranches:
+    """Each (mode, time) element takes one branch; all branches in one table."""
+
+    @pytest.mark.parametrize("p", ALL_PARAM_SETS)
+    def test_mixed_regime_table_matches_textbook(self, p):
+        # 30 modes hold P_GTR's oscillatory band (n <= 19) and overdamped
+        # modes, P_EQ's critical mode 1; times straddle each sampled mode's
+        # Maclaurin switch SERIES_SWITCH/omega
+        table = mode_table(p, 30)
+        omegas = table.omega[[0, 5, 18, 19, 29]]
+        switch = SERIES_SWITCH / omegas[omegas > 0]
+        ts = np.unique(np.concatenate([[0.0, 0.3, 1.7, 6.0],
+                                       switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)]))
+        rows = [[textbook_kernels(p, n, t) for t in ts] for n in range(1, 31)]
+        ref = np.array([[values for values, _ in row] for row in rows])
+        size = np.array([[sizes for _, sizes in row] for row in rows])
+        for k, values in enumerate((kernel_values, kernel_dt_values, flux_values)):
+            got = values(table, ts)
+            assert np.all(np.abs(got - ref[:, :, k]) <= 1e-12 * size[:, :, k])
 
 
 class TestClassification:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import P_EQ
 from helpers import sine_gordon_sweep
+from strip_solver import nonlinear_solver
 from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
 from strip_solver.linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
@@ -91,6 +92,22 @@ class TestPicardSolve:
         reference = solve_linear(LinearProblem(P_EQ, spec([0.05]), spec([0.0]), f, 2.0),
                                  grid, QuadConfig(tol=1e-12))
         assert np.max(np.abs(fld.values - reference.values)) < 1e-5
+
+    def test_kernels_built_once_per_window_length(self, monkeypatch):
+        calls = []
+        for name in ("kernel_values", "kernel_dt_values"):
+            original = getattr(nonlinear_solver, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(nonlinear_solver, name, counted)
+        # windows [0, 1], [1, 2], [2, 3] share a length; [3, 3.5] has its own
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=3.5)
+        _, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=1.0))
+        assert rep.converged and len(rep.window_traces) == 4
+        assert sorted(calls) == ["kernel_dt_values"] * 2 + ["kernel_values"] * 2
 
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))
