@@ -23,16 +23,9 @@ _SUBMODULES = (
 
 _EXPORTS = {
     "Params": "modes",
-    "ModeParams": "modes",
     "ModeClassification": "modes",
-    "Regime": "modes",
-    "mode_params": "modes",
     "mode_table": "modes",
-    "kernel_eval": "modes",
-    "kernel_dt_eval": "modes",
-    "flux_kernel_eval": "modes",
     "classify_modes": "modes",
-    "term_bound": "modes",
     "SineSpectrum": "spectrum",
     "SampledFunction": "spectrum",
     "analyze": "spectrum",

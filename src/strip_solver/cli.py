@@ -196,15 +196,17 @@ def _field_rows(field):
 
 
 def _cmd_modes(args):
-    from .modes import classify_modes, mode_params
+    import numpy as np
+
+    from .modes import classify_modes, mode_table
 
     p = _params(args)
     _defaults(args, n=8, k=0.5)
     cls = classify_modes(p, args.k)
-    rows = []
-    for n in range(1, args.n + 1):
-        m = mode_params(p, n)
-        rows.append((m.n, m.gamma, m.b, m.h, m.omega, m.regime.value))
+    m = mode_table(p, args.n)
+    regime = np.where(m.crit, "Critical", np.where(m.osc, "Oscillatory", "Overdamped"))
+    rows = zip(m.n.astype(int).tolist(), m.gamma.tolist(), m.b.tolist(), m.h.tolist(),
+               m.omega.tolist(), regime.tolist())
     meta = _meta(p, n=args.n, k=args.k, n1_star=cls.n1_star,
                  n2_star=cls.n2_star, nk=cls.nk)
     _write_csv(args.out, meta, ["n", "gamma", "b", "h", "omega", "regime"], rows)

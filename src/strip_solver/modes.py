@@ -28,27 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Regime",
     "Params",
-    "ModeParams",
     "ModeClassification",
     "ModeTable",
-    "mode_params",
     "mode_table",
-    "table_from_mode",
-    "kernel_eval",
-    "kernel_dt_eval",
-    "flux_kernel_eval",
     "kernel_values",
     "kernel_dt_values",
     "flux_values",
     "classify_modes",
-    "term_bound",
     "term_bounds",
     "CRITICAL_REL_TOL",
     "SERIES_SWITCH",
@@ -58,12 +49,6 @@ __all__ = [
 CRITICAL_REL_TOL = 1e-12
 # |w*t| below this uses the Maclaurin branch instead of exp/sin splits.
 SERIES_SWITCH = 1e-4
-
-
-class Regime(Enum):
-    OVERDAMPED = "Overdamped"
-    CRITICAL = "Critical"
-    OSCILLATORY = "Oscillatory"
 
 
 @dataclass(frozen=True)
@@ -87,26 +72,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class ModeParams:
-    """Per-mode quantities: gamma = n*pi/l, b = c*gamma, h = (a + eps*gamma^2)/2.
-
-    ``omega`` is sqrt(h^2 - b^2) when overdamped, 0 when critical and
-    sqrt(b^2 - h^2) when oscillatory; always stored non-negative.
-    ``slow_rate`` is the decay rate of the slowly decaying factor:
-    h - omega for overdamped modes (computed as b^2/(h + omega) to avoid
-    cancellation), h otherwise.
-    """
-
-    n: int
-    gamma: float
-    b: float
-    h: float
-    regime: Regime
-    omega: float
-    slow_rate: float
-
-
-@dataclass(frozen=True)
 class ModeClassification:
     """Integer brackets of the oscillatory band.
 
@@ -126,11 +91,14 @@ class ModeClassification:
 
 @dataclass(frozen=True)
 class ModeTable:
-    """Vectorised mode data for modes 1..n_max (internal work-horse).
+    """Per-mode quantities of modes 1..n_max, one array entry per mode.
 
-    ``sign`` is +1 for sinh-type (overdamped/critical) and -1 for sin-type
-    modes; ``dm``/``dp`` are the slow/fast decay rates h -+ omega (dm
-    falls back to h for critical and oscillatory modes).
+    gamma = n*pi/l, b = c*gamma, h = (a + eps*gamma^2)/2.  ``omega`` is
+    sqrt(|h^2 - b^2|), 0 for critical modes; the masks ``over``, ``crit``
+    and ``osc`` give each mode's damping regime.  ``sign`` is +1 for
+    sinh-type (overdamped/critical) and -1 for sin-type modes; ``dm``/``dp``
+    are the slow/fast decay rates h -+ omega (dm is the cancellation-free
+    b^2/(h + omega) for overdamped modes and falls back to h otherwise).
     """
 
     epsilon: float
@@ -154,10 +122,14 @@ class ModeTable:
         return self.n.size
 
 
-def _build_table(epsilon, a, c, l, n_idx):
-    gamma = n_idx * (math.pi / l)
-    b = c * gamma
-    h = 0.5 * (a + epsilon * gamma**2)
+def mode_table(p: Params, n_max: int) -> ModeTable:
+    """Mode quantities for n = 1..n_max as arrays."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_idx = np.arange(1, n_max + 1, dtype=float)
+    gamma = n_idx * (math.pi / p.l)
+    b = p.c * gamma
+    h = 0.5 * (p.a + p.epsilon * gamma**2)
     crit = np.abs(h - b) <= CRITICAL_REL_TOL * h
     osc = (b > h) & ~crit
     over = ~(osc | crit)
@@ -168,60 +140,9 @@ def _build_table(epsilon, a, c, l, n_idx):
     dm = np.where(over, b * b / (h + omega), h)
     dp = h + omega
     return ModeTable(
-        epsilon=epsilon, a=a, c=c, l=l,
+        epsilon=p.epsilon, a=p.a, c=p.c, l=p.l,
         n=n_idx, gamma=gamma, b=b, h=h, omega=omega, sign=sign,
         dm=dm, dp=dp, osc=osc, crit=crit, over=over,
-    )
-
-
-def mode_table(p: Params, n_max: int) -> ModeTable:
-    """Mode quantities for n = 1..n_max as arrays."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    n_idx = np.arange(1, n_max + 1, dtype=float)
-    return _build_table(p.epsilon, p.a, p.c, p.l, n_idx)
-
-
-def table_from_mode(m: ModeParams, p: Params | None = None) -> ModeTable:
-    """Single-row table from explicit mode quantities (synthetic modes allowed)."""
-    eps = p.epsilon if p is not None else 1.0
-    a = p.a if p is not None else 2.0 * m.h  # only used by flux kernels
-    c = p.c if p is not None else (m.b / m.gamma if m.gamma > 0 else 1.0)
-    l = p.l if p is not None else math.pi
-    osc = m.regime is Regime.OSCILLATORY
-    over = m.regime is Regime.OVERDAMPED
-    omega = float(m.omega)
-    dm = m.b * m.b / (m.h + omega) if over else m.h
-    return ModeTable(
-        epsilon=eps, a=a, c=c, l=l,
-        n=np.array([float(m.n)]),
-        gamma=np.array([m.gamma]),
-        b=np.array([m.b]),
-        h=np.array([m.h]),
-        omega=np.array([omega]),
-        sign=np.array([-1.0 if osc else 1.0]),
-        dm=np.array([dm]),
-        dp=np.array([m.h + omega]),
-        osc=np.array([osc]),
-        crit=np.array([m.regime is Regime.CRITICAL]),
-        over=np.array([over]),
-    )
-
-
-def mode_params(p: Params, n: int) -> ModeParams:
-    """Mode quantities for a single index n >= 1, with the damping regime tag."""
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    t = _build_table(p.epsilon, p.a, p.c, p.l, np.array([float(n)]))
-    if t.crit[0]:
-        regime = Regime.CRITICAL
-    elif t.osc[0]:
-        regime = Regime.OSCILLATORY
-    else:
-        regime = Regime.OVERDAMPED
-    return ModeParams(
-        n=n, gamma=float(t.gamma[0]), b=float(t.b[0]), h=float(t.h[0]),
-        regime=regime, omega=float(t.omega[0]), slow_rate=float(t.dm[0]),
     )
 
 
@@ -281,8 +202,9 @@ def _overdamped(table: ModeTable, col, tt, which: str):
 def _kernel_core(table: ModeTable, t, which: str):
     """Evaluate H, H' or eps*H' + c^2*H for all table modes.
 
-    ``t`` may be a scalar or a 1-D array of non-negative times; the result
-    has shape (n_modes,) for scalar t and (n_modes, len(t)) otherwise.
+    ``t`` may be a scalar or a 1-D array of non-negative times (a negative
+    time raises ValueError); the result has shape (n_modes,) for scalar t
+    and (n_modes, len(t)) otherwise.
 
     Every (mode, time) element goes through exactly one branch, chosen by
     its phase omega*t and the mode's regime: the Maclaurin series below
@@ -297,6 +219,8 @@ def _kernel_core(table: ModeTable, t, which: str):
     tt = np.asarray(t, dtype=float)
     scalar_t = tt.ndim == 0
     tt = np.atleast_1d(tt)
+    if np.any(tt < 0.0):
+        raise ValueError(f"time must be non-negative, got {tt.min()}")
     small = table.omega[:, None] * tt[None, :] < SERIES_SWITCH
     osc = table.osc[:, None]
     masks = (small, osc & ~small, ~(osc | small))
@@ -312,7 +236,10 @@ def _kernel_core(table: ModeTable, t, which: str):
 
 
 def kernel_values(table: ModeTable, t):
-    """H_n(t) for all modes of the table; t scalar or array, t >= 0."""
+    """H_n(t) for all modes of the table; t scalar or 1-D array, t >= 0.
+
+    H_n(0) = 0 and H_n'(0) = 1 hold exactly in every regime.
+    """
     return _kernel_core(table, t, "H")
 
 
@@ -324,35 +251,6 @@ def kernel_dt_values(table: ModeTable, t):
 def flux_values(table: ModeTable, t):
     """eps*H_n'(t) + c^2*H_n(t) for all modes of the table."""
     return _kernel_core(table, t, "flux")
-
-
-def _check_time(t):
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-
-
-def kernel_eval(m: ModeParams, t: float) -> float:
-    """Temporal kernel H_n(t) of one mode, stable in every regime."""
-    _check_time(t)
-    return float(_kernel_core(table_from_mode(m), float(t), "H")[0])
-
-
-def kernel_dt_eval(m: ModeParams, t: float) -> float:
-    """Time derivative H_n'(t); equals 1 exactly at t = 0 in all regimes."""
-    _check_time(t)
-    return float(_kernel_core(table_from_mode(m), float(t), "Hdot")[0])
-
-
-def flux_kernel_eval(m: ModeParams, p: Params, t: float) -> float:
-    """Per-mode flux combination eps*H_n'(t) + c^2*H_n(t).
-
-    For overdamped modes the slowly decaying coefficient is evaluated as
-    c^2*(a - (h - omega))/(h + omega), which is exact arithmetic for the
-    combination c^2 - eps*(h - omega) and avoids the large-n cancellation
-    of forming the two products separately.
-    """
-    _check_time(t)
-    return float(_kernel_core(table_from_mode(m, p), float(t), "flux")[0])
 
 
 def classify_modes(p: Params, k: float = 0.5) -> ModeClassification:
@@ -407,7 +305,12 @@ def term_bounds(table: ModeTable, p: Params, t: float, k: float = 0.5,
     overdamped modes (where that chain is invalid) fall back to the direct
     bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).  The H' and flux bounds
     take the smaller of the two-exponential split and the envelope bound.
+    Raises ValueError unless t >= 0 and 0 < k < 1.
     """
+    if not t >= 0.0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    if not (0.0 < k < 1.0):
+        raise ValueError(f"k must lie in (0, 1), got {k}")
     rk = 1.0 / math.sqrt(1.0 - k)
     sigma = sigma_rate(p)
     rate_p = decay_rate_p(p)
@@ -441,15 +344,3 @@ def term_bounds(table: ModeTable, p: Params, t: float, k: float = 0.5,
         out = np.where(table.over, np.minimum(split, fallback), out)
         return out
     raise ValueError(f"unknown series kind {kind!r}")
-
-
-def term_bound(m: ModeParams, p: Params, t: float, k: float = 0.5) -> float:
-    """Certified upper bound on |H_n(t)| for mode m = mode_params(p, n).
-
-    One row of ``term_bounds``; see there for the bound in each regime.
-    """
-    _check_time(t)
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"k must lie in (0, 1), got {k}")
-    row = _build_table(p.epsilon, p.a, p.c, p.l, np.array([float(m.n)]))
-    return float(term_bounds(row, p, float(t), k)[0])

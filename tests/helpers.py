@@ -5,7 +5,7 @@ import numpy as np
 from scipy.fft import dst
 
 from strip_solver.green_kernel import green_profile, plan_truncation
-from strip_solver.modes import kernel_eval, kernel_values, mode_table
+from strip_solver.modes import kernel_values, mode_table
 from strip_solver.nonlinear_solver import volterra_convolve
 
 
@@ -40,19 +40,22 @@ def brute_green(p, x, xi, t, n_terms=4000, kind="green"):
     return float(2 / l * total)
 
 
-def mode_ode_residual(m, t, step, order=2):
-    """Central-difference residual of H'' + 2hH' + b^2 H = 0 at time t."""
+def mode_ode_residual(table, t, step, order=2):
+    """Central-difference residual of H'' + 2hH' + b^2 H = 0 at time t.
+
+    One residual per mode of ``table``; ``t - order*step/2`` must be >= 0.
+    """
     if order == 2:
-        f = [kernel_eval(m, t + j * step) for j in (-1, 0, 1)]
+        f = [kernel_values(table, t + j * step) for j in (-1, 0, 1)]
         d2 = (f[0] - 2 * f[1] + f[2]) / step**2
         d1 = (f[2] - f[0]) / (2 * step)
         mid = f[1]
     else:
-        f = [kernel_eval(m, t + j * step) for j in (-2, -1, 0, 1, 2)]
+        f = [kernel_values(table, t + j * step) for j in (-2, -1, 0, 1, 2)]
         d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step**2)
         d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * step)
         mid = f[2]
-    return abs(d2 + 2 * m.h * d1 + m.b**2 * mid)
+    return np.abs(d2 + 2 * table.h * d1 + table.b**2 * mid)
 
 
 def pde_residual_sup(p, xs, ts, xi, dx=1e-3, dt=1e-4, plan_tol=1e-4):

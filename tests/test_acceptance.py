@@ -20,7 +20,7 @@ from strip_solver.linear_solver import (
     QuadConfig,
     solve_linear,
 )
-from strip_solver.modes import kernel_dt_eval, kernel_eval, mode_params
+from strip_solver.modes import kernel_dt_values, kernel_values, mode_table
 from strip_solver.nonlinear_solver import (
     NonlinearProblem,
     PicardConfig,
@@ -56,15 +56,16 @@ def test_criterion_1_mode_ode():
     exact_ok = True
     tgrid = np.geomspace(0.01, 10.0, 12)
     for p in ALL_PARAM_SETS:
-        for n in range(1, 51):
-            m = mode_params(p, n)
-            exact_ok &= kernel_eval(m, 0.0) == 0.0 and kernel_dt_eval(m, 0.0) == 1.0
-            # fourth-order stencil, step scaled to the fastest mode rate,
-            # so the discretisation floor stays below the 1e-6 target for
-            # stiff modes (h ~ n^2)
+        table = mode_table(p, 50)
+        exact_ok &= bool(np.all(kernel_values(table, 0.0) == 0.0)
+                         and np.all(kernel_dt_values(table, 0.0) == 1.0))
+        # fourth-order stencil, step scaled to the fastest mode rate,
+        # so the discretisation floor stays below the 1e-6 target for
+        # stiff modes (h ~ n^2)
+        for i in range(table.n_modes):
             for t in tgrid:
-                step = min(1e-2 / max(1.0, m.h + m.omega), float(t) / 4.0)
-                worst = max(worst, mode_ode_residual(m, float(t), step, order=4))
+                step = min(1e-2 / max(1.0, table.dp[i]), float(t) / 4.0)
+                worst = max(worst, mode_ode_residual(table, float(t), step, order=4)[i])
     elapsed = time.perf_counter() - start
     _report("C1 mode-ODE residual", worst < 1e-6 and exact_ok, elapsed, 5.0,
             f"worst residual {worst:.2e}, H(0)/H'(0) exact: {exact_ok}")

@@ -7,20 +7,15 @@ import pytest
 from conftest import ALL_PARAM_SETS, P_EQ, P_GTR, P_LESS
 from helpers import mode_ode_residual
 from strip_solver.modes import (
+    CRITICAL_REL_TOL,
     SERIES_SWITCH,
-    ModeParams,
     Params,
-    Regime,
     classify_modes,
-    flux_kernel_eval,
     flux_values,
-    kernel_dt_eval,
     kernel_dt_values,
-    kernel_eval,
     kernel_values,
-    mode_params,
     mode_table,
-    term_bound,
+    term_bounds,
 )
 
 
@@ -35,86 +30,87 @@ class TestParams:
 
 
 class TestModeParams:
+    """Per-mode quantities, read from rows of a real mode table."""
+
     def test_critical_mode(self):
-        m = mode_params(P_EQ, 1)
-        assert m.gamma == 1.0 and m.b == 1.0 and m.h == 1.0
-        assert m.regime is Regime.CRITICAL and m.omega == 0.0
+        t = mode_table(P_EQ, 1)
+        assert t.gamma[0] == 1.0 and t.b[0] == 1.0 and t.h[0] == 1.0
+        assert t.crit[0] and t.omega[0] == 0.0
 
     def test_overdamped_mode(self):
-        m = mode_params(P_EQ, 2)
-        assert m.gamma == 2.0 and m.b == 2.0 and m.h == 2.5
-        assert m.regime is Regime.OVERDAMPED
-        assert m.omega == pytest.approx(1.5, rel=1e-15)
+        t = mode_table(P_EQ, 2)
+        assert t.gamma[1] == 2.0 and t.b[1] == 2.0 and t.h[1] == 2.5
+        assert t.over[1]
+        assert t.omega[1] == pytest.approx(1.5, rel=1e-15)
         # cancellation-free slow rate h - omega = b^2/(h + omega)
-        assert m.slow_rate == pytest.approx(1.0, rel=1e-15)
+        assert t.dm[1] == pytest.approx(1.0, rel=1e-15)
 
     def test_oscillatory_mode(self):
-        m = mode_params(P_GTR, 1)
-        assert m.h == pytest.approx(0.1) and m.regime is Regime.OSCILLATORY
-        assert m.omega == pytest.approx(math.sqrt(0.99), rel=1e-14)
+        t = mode_table(P_GTR, 1)
+        assert t.h[0] == pytest.approx(0.1) and t.osc[0]
+        assert t.omega[0] == pytest.approx(math.sqrt(0.99), rel=1e-14)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            mode_params(P_EQ, 0)
+            mode_table(P_EQ, 0)
 
     @pytest.mark.parametrize("p", ALL_PARAM_SETS)
     def test_invariants_over_range(self, p):
-        for n in (1, 2, 3, 10, 47):
-            m = mode_params(p, n)
-            if m.regime is Regime.OVERDAMPED:
-                assert m.omega**2 + m.b**2 == pytest.approx(m.h**2, rel=1e-12)
-                assert m.h > m.b
-            elif m.regime is Regime.OSCILLATORY:
-                assert m.h < m.b
-            assert m.slow_rate > 0.0
+        t = mode_table(p, 47)
+        # each mode has exactly one regime
+        assert np.all(t.over.astype(int) + t.crit + t.osc == 1)
+        for i in (0, 1, 2, 9, 46):
+            if t.over[i]:
+                assert t.omega[i]**2 + t.b[i]**2 == pytest.approx(t.h[i]**2, rel=1e-12)
+                assert t.h[i] > t.b[i]
+            elif t.osc[i]:
+                assert t.h[i] < t.b[i]
+            assert t.dm[i] > 0.0
 
 
 class TestKernel:
     def test_zero_time_is_exact(self):
         for p in ALL_PARAM_SETS:
-            for n in (1, 2, 9):
-                m = mode_params(p, n)
-                assert kernel_eval(m, 0.0) == 0.0
-                assert kernel_dt_eval(m, 0.0) == 1.0
+            table = mode_table(p, 9)
+            assert np.all(kernel_values(table, 0.0) == 0.0)
+            assert np.all(kernel_dt_values(table, 0.0) == 1.0)
 
     def test_overdamped_value(self):
         # exp(-2.5) sinh(1.5)/1.5 for mode 2 of the critical-family set
-        m = mode_params(P_EQ, 2)
-        assert kernel_eval(m, 1.0) == pytest.approx(0.11652126742756937, rel=1e-13)
+        h = kernel_values(mode_table(P_EQ, 2), 1.0)
+        assert h[1] == pytest.approx(0.11652126742756937, rel=1e-13)
 
     def test_critical_value(self):
-        m = mode_params(P_EQ, 1)
-        assert kernel_eval(m, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        h = kernel_values(mode_table(P_EQ, 1), 1.0)
+        assert h[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_derivative_values(self):
-        m1 = mode_params(P_EQ, 1)
-        assert kernel_dt_eval(m1, 1.0) == pytest.approx(0.0, abs=1e-15)
-        m2 = mode_params(P_EQ, 2)
+        hd = kernel_dt_values(mode_table(P_EQ, 2), 1.0)
+        assert hd[0] == pytest.approx(0.0, abs=1e-15)
         # exp(-2.5)(cosh 1.5 - (2.5/1.5) sinh 1.5)
-        assert kernel_dt_eval(m2, 1.0) == pytest.approx(-0.0982056285388352, rel=1e-12)
+        assert hd[1] == pytest.approx(-0.0982056285388352, rel=1e-12)
 
     def test_rejects_negative_time(self):
-        m = mode_params(P_EQ, 1)
-        with pytest.raises(ValueError):
-            kernel_eval(m, -0.1)
-        with pytest.raises(ValueError):
-            kernel_dt_eval(m, -0.1)
+        table = mode_table(P_EQ, 3)
+        for values in (kernel_values, kernel_dt_values, flux_values):
+            for t in (-0.1, -1.0, np.array([0.0, 1.0, -0.1]), np.array([-1e-300])):
+                with pytest.raises(ValueError):
+                    values(table, t)
 
     def test_flux_collapses_for_critical_family(self):
         # with eps = a = c = 1, l = pi: eps*H_n' + c^2*H_n = exp(-n^2 t)
-        for n in (1, 2, 5, 12):
-            m = mode_params(P_EQ, n)
-            for t in (0.3, 1.0, 2.7):
-                assert flux_kernel_eval(m, P_EQ, t) == pytest.approx(
-                    math.exp(-n**2 * t), rel=1e-12, abs=1e-300)
+        table = mode_table(P_EQ, 12)
+        for t in (0.3, 1.0, 2.7):
+            flux = flux_values(table, t)
+            for n in (1, 2, 5, 12):
+                assert flux[n - 1] == pytest.approx(math.exp(-n**2 * t), rel=1e-12, abs=1e-300)
 
     def test_mode_ode_residual_second_order(self):
         # literal second-order stencil with step 1e-4 on mild modes
         for p in ALL_PARAM_SETS:
-            for n in range(1, 5):
-                m = mode_params(p, n)
-                for t in np.linspace(0.2, 5.0, 9):
-                    assert mode_ode_residual(m, float(t), 1e-4) < 1e-6
+            table = mode_table(p, 4)
+            for t in np.linspace(0.2, 5.0, 9):
+                assert np.all(mode_ode_residual(table, float(t), 1e-4) < 1e-6)
 
     def test_stability_extreme_modes(self):
         table = mode_table(P_EQ, 10**6)
@@ -123,21 +119,21 @@ class TestKernel:
             assert np.all(np.isfinite(vals))
 
     def test_regime_continuity_near_critical(self):
-        # matched h with omega -> 0 from both sides agrees with the critical branch
-        h = 1.0
-        crit = ModeParams(n=1, gamma=1.0, b=h, h=h, regime=Regime.CRITICAL,
-                          omega=0.0, slow_rate=h)
-        for t in (0.3, 1.0, 4.0):
-            ref = kernel_eval(crit, t)
-            for omega in (1e-7, 1e-5):
-                over = ModeParams(n=1, gamma=1.0, b=math.sqrt(h**2 - omega**2),
-                                  h=h, regime=Regime.OVERDAMPED, omega=omega,
-                                  slow_rate=h - omega)
-                osc = ModeParams(n=1, gamma=1.0, b=math.sqrt(h**2 + omega**2),
-                                 h=h, regime=Regime.OSCILLATORY, omega=omega,
-                                 slow_rate=h)
-                assert kernel_eval(over, t) == pytest.approx(ref, abs=1e-8)
-                assert kernel_eval(osc, t) == pytest.approx(ref, abs=1e-8)
+        # c = 1 + d puts mode 1 (h = 1, b = 1 + d) inside the critical band
+        # (|d| <= CRITICAL_REL_TOL) or just outside it, with omega =
+        # sqrt(|2d + d^2|) ~ 2e-6 and 1e-5; every kernel stays near t*exp(-t)
+        ts = np.array([0.3, 1.0, 4.0])
+        ref = ts * np.exp(-ts)
+        for d, omega in ((5e-13, 0.0), (2e-12, 2e-6), (5e-11, 1e-5)):
+            for sign in (1.0, -1.0):
+                table = mode_table(Params(epsilon=1.0, a=1.0, c=1.0 + sign * d, l=math.pi), 1)
+                assert table.h[0] == 1.0
+                if d <= CRITICAL_REL_TOL:
+                    assert table.crit[0]
+                else:
+                    assert table.osc[0] if sign > 0 else table.over[0]
+                assert table.omega[0] == pytest.approx(omega, rel=1e-3)
+                assert kernel_values(table, ts)[0] == pytest.approx(ref, abs=1e-8)
 
 
 def textbook_kernels(p, n, t):
@@ -198,24 +194,21 @@ class TestClassification:
         n2 = scale * (1 + math.sqrt(1 - P_GTR.a * P_GTR.epsilon / P_GTR.c**2))
         assert n1 == pytest.approx(0.050126, abs=1e-6)
         assert n2 == pytest.approx(19.949874, abs=1e-6)
-        for n in range(1, 20):
-            assert mode_params(P_GTR, n).regime is Regime.OSCILLATORY
-        assert mode_params(P_GTR, 20).regime is not Regime.OSCILLATORY
+        osc = mode_table(P_GTR, 20).osc
+        assert np.all(osc[:19]) and not osc[19]
 
     def test_no_band_at_or_below_threshold(self):
         for p in (P_EQ, P_LESS):
             cls = classify_modes(p)
             assert (cls.n1_star, cls.n2_star) == (0, 1)
-            for n in range(1, 30):
-                assert mode_params(p, n).regime is not Regime.OSCILLATORY
+            assert not np.any(mode_table(p, 29).osc)
 
     def test_nk_threshold_marks_bound_validity(self):
         for p in ALL_PARAM_SETS:
             for k in (0.3, 0.5, 0.9):
                 cls = classify_modes(p, k)
-                for n in range(cls.nk, cls.nk + 40):
-                    m = mode_params(p, n)
-                    assert (m.b / m.h) ** 2 <= k
+                t = mode_table(p, cls.nk + 39)
+                assert np.all((t.b[cls.nk - 1:] / t.h[cls.nk - 1:]) ** 2 <= k)
 
     def test_rejects_bad_k(self):
         for k in (0.0, 1.0, -0.2, 1.7):
@@ -225,25 +218,32 @@ class TestClassification:
 
 class TestTermBound:
     def test_vanishes_at_large_time(self):
-        m = mode_params(P_LESS, 3)
-        assert term_bound(m, P_LESS, 200.0) < 1e-20
+        assert term_bounds(mode_table(P_LESS, 3), P_LESS, 200.0)[2] < 1e-20
 
     def test_dominates_single_value(self):
-        m = mode_params(P_LESS, 3)
-        assert term_bound(m, P_LESS, 1.0, 0.5) >= abs(kernel_eval(m, 1.0))
+        table = mode_table(P_LESS, 3)
+        assert term_bounds(table, P_LESS, 1.0, 0.5)[2] >= abs(kernel_values(table, 1.0)[2])
 
     def test_oscillatory_bound_value(self):
-        m = mode_params(P_GTR, 1)
+        table = mode_table(P_GTR, 1)
         expected = 0.5 * math.exp(-0.05)
-        assert term_bound(m, P_GTR, 0.5) == pytest.approx(expected, rel=1e-12)
-        assert term_bound(m, P_GTR, 0.5) >= abs(kernel_eval(m, 0.5))
+        bound = term_bounds(table, P_GTR, 0.5)[0]
+        assert bound == pytest.approx(expected, rel=1e-12)
+        assert bound >= abs(kernel_values(table, 0.5)[0])
 
     @pytest.mark.parametrize("p", ALL_PARAM_SETS)
     def test_dominance_on_grid(self, p):
         ts = np.geomspace(0.01, 20.0, 100)
-        for n in range(1, 101):
-            m = mode_params(p, n)
-            bounds = np.array([term_bound(m, p, float(t)) for t in ts])
-            values = np.abs([kernel_eval(m, float(t)) for t in ts])
-            # critical modes attain the bound exactly; allow rounding slack
-            assert np.all(bounds * (1.0 + 1e-12) >= values)
+        table = mode_table(p, 100)
+        bounds = np.stack([term_bounds(table, p, float(t)) for t in ts], axis=1)
+        values = np.abs(kernel_values(table, ts))
+        # critical modes attain the bound exactly; allow rounding slack
+        assert np.all(bounds * (1.0 + 1e-12) >= values)
+
+    def test_rejects_negative_time_and_bad_k(self):
+        table = mode_table(P_EQ, 3)
+        with pytest.raises(ValueError):
+            term_bounds(table, P_EQ, -1.0)
+        for k in (1.0, 1.5, -0.5):
+            with pytest.raises(ValueError):
+                term_bounds(table, P_EQ, 1.0, k)
