@@ -26,6 +26,7 @@ _EXPORTS = {
     "ModeClassification": "modes",
     "mode_table": "modes",
     "classify_modes": "modes",
+    "propagate_state": "modes",
     "SineSpectrum": "spectrum",
     "SampledFunction": "spectrum",
     "analyze": "spectrum",
@@ -43,8 +44,6 @@ _EXPORTS = {
     "LinearProblem": "linear_solver",
     "GridSpec": "linear_solver",
     "QuadConfig": "linear_solver",
-    "propagate_velocity": "linear_solver",
-    "propagate_displacement": "linear_solver",
     "forced_response": "linear_solver",
     "solve_linear": "linear_solver",
     "residual": "linear_solver",

@@ -11,7 +11,9 @@ is assembled from three diagonal actions on sine coefficients:
   * displacement data:  g0_n -> g0_n * (H_n'(t) + 2*h_n*H_n(t))
   * source:             f_n(.) -> int_0^t f_n(tau) H_n(t - tau) dtau
 
-and combined as u = u_velocity + u_displacement - u_forced.  The spectral
+and combined as u = u_velocity + u_displacement - u_forced.  The first two
+are the modal state map ``modes.propagate_state``, which also carries the
+time derivative and the restarts below.  The spectral
 representation is exact in x up to series truncation; the output grid only
 enters at the final synthesis step.
 
@@ -45,16 +47,14 @@ import numpy as np
 from . import nonlinear_solver
 from .errors import AccuracyError
 from .fields import Field
-from .modes import ModeTable, Params, kernel_dt_values, kernel_values, mode_table
-from .spectrum import SineSpectrum
+from .modes import ModeTable, Params, kernel_dt_values, kernel_values, mode_table, propagate_state
+from .spectrum import SineSpectrum, pad_modes
 
 __all__ = [
     "LinearProblem",
     "GridSpec",
     "Field",
     "QuadConfig",
-    "propagate_velocity",
-    "propagate_displacement",
     "forced_response",
     "solve_linear",
     "residual",
@@ -77,6 +77,12 @@ class QuadConfig:
 
     tol: float = 1e-9
     max_doublings: int = 8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_doublings < 1:
+            raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
 @dataclass(frozen=True)
@@ -119,45 +125,15 @@ class GridSpec:
             nodes = getattr(self, name)
             if nodes.ndim != 1 or nodes.size < 1 or np.any(np.diff(nodes) <= 0):
                 raise ValueError(f"{name} must be strictly increasing and non-empty")
-
-
-def _pad(coeffs: np.ndarray, n: int) -> np.ndarray:
-    if coeffs.size >= n:
-        return coeffs[:n]
-    out = np.zeros(n)
-    out[: coeffs.size] = coeffs
-    return out
-
-
-def propagate_velocity(p: Params, g1: SineSpectrum, t: float,
-                       table: ModeTable | None = None) -> SineSpectrum:
-    """Velocity-data component: coefficient-wise multiplication by H_n(t)."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    table = table or mode_table(p, g1.n_modes)
-    coeffs = _pad(g1.coeffs, table.n_modes) * kernel_values(table, float(t))
-    return SineSpectrum(l=p.l, coeffs=coeffs)
-
-
-def propagate_displacement(p: Params, g0: SineSpectrum, t: float,
-                           table: ModeTable | None = None) -> SineSpectrum:
-    """Displacement-data component: multiplication by H_n'(t) + 2*h_n*H_n(t).
-
-    This is the diagonal action of (d_t + a - eps*d_xx) applied to the
-    velocity propagator, and returns g0 unchanged at t = 0.
-    """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    table = table or mode_table(p, g0.n_modes)
-    factor = kernel_dt_values(table, float(t)) + 2.0 * table.h * kernel_values(table, float(t))
-    return SineSpectrum(l=p.l, coeffs=_pad(g0.coeffs, table.n_modes) * factor)
+            if not np.all(np.isfinite(nodes)):
+                raise ValueError(f"{name} must be finite")
 
 
 def _sampled(f, taus: np.ndarray, n_modes: int) -> np.ndarray:
     """Source spectra f(tau) as columns, padded or cut to n_modes."""
     out = np.empty((n_modes, taus.size))
     for j, tau in enumerate(taus):
-        out[:, j] = _pad(np.asarray(f(float(tau)).coeffs, dtype=float), n_modes)
+        out[:, j] = pad_modes(f(float(tau)).coeffs, n_modes)
     return out
 
 
@@ -184,14 +160,12 @@ def _forced_at(f, table: ModeTable, fgrid: np.ndarray, dt: float,
         f0 = fgrid[:, k]
         fm = _sampled(f, k * dt + s / 2.0, table.n_modes)
         w = s / 6.0
-        u_k, du_k = u[:, off], du[:, off]
+        u_s, du_s = propagate_state(table, u[:, off], du[:, off], hs, hds)
         # H(0) = 0 drops f(t) from the Simpson sum for U
-        u[:, off] = (u_k * (hds + 2.0 * table.h[:, None] * hs) + du_k * hs
-                     + w * (f0 * hs + 4.0 * fm * hm))
+        u[:, off] = u_s + w * (f0 * hs + 4.0 * fm * hm)
         if with_dt:
             f1 = _sampled(f, t_out[off], table.n_modes)
-            du[:, off] = (du_k * hds - (table.b**2)[:, None] * hs * u_k
-                          + w * (f0 * hds + 4.0 * fm * hdm + f1))
+            du[:, off] = du_s + w * (f0 * hds + 4.0 * fm * hdm + f1)
     return u, (du if with_dt else None)
 
 
@@ -254,18 +228,16 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     if prob.f is not None:
         n = max(n, np.asarray(prob.f(0.0).coeffs).size)
     table = mode_table(p, n)
-    g0c = _pad(prob.g0.coeffs, n)[:, None]
-    g1c = _pad(prob.g1.coeffs, n)[:, None]
+    g0c = pad_modes(prob.g0.coeffs, n)[:, None]
+    g1c = pad_modes(prob.g1.coeffs, n)[:, None]
     ts = grid.t_nodes
     if np.any(ts > prob.horizon + 1e-12) or np.any(ts < 0):
         raise ValueError("grid times must lie in [0, horizon]")
     sin_mat = np.sin(np.outer(grid.x_nodes, table.gamma))
     boundary = (grid.x_nodes == 0.0) | (grid.x_nodes == p.l)
     sin_mat[boundary, :] = 0.0
-    hv = kernel_values(table, ts)
-    hd = kernel_dt_values(table, ts)
-    coeffs = g1c * hv + g0c * (hd + 2.0 * table.h[:, None] * hv)
-    dt_coeffs = g1c * hd - g0c * (table.b**2)[:, None] * hv if grid.with_dt else None
+    coeffs, dt_coeffs = propagate_state(table, g0c, g1c, kernel_values(table, ts),
+                                        kernel_dt_values(table, ts))
     if prob.f is not None:
         uf, uf_dt = _forced(prob.f, table, ts, quad, grid.with_dt)
         coeffs = coeffs - uf

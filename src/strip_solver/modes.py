@@ -39,6 +39,7 @@ __all__ = [
     "kernel_values",
     "kernel_dt_values",
     "flux_values",
+    "propagate_state",
     "classify_modes",
     "term_bounds",
     "CRITICAL_REL_TOL",
@@ -203,8 +204,8 @@ def _kernel_core(table: ModeTable, t, which: str):
     """Evaluate H, H' or eps*H' + c^2*H for all table modes.
 
     ``t`` may be a scalar or a 1-D array of non-negative times (a negative
-    time raises ValueError); the result has shape (n_modes,) for scalar t
-    and (n_modes, len(t)) otherwise.
+    or NaN time raises ValueError); the result has shape (n_modes,) for
+    scalar t and (n_modes, len(t)) otherwise.
 
     Every (mode, time) element goes through exactly one branch, chosen by
     its phase omega*t and the mode's regime: the Maclaurin series below
@@ -219,7 +220,7 @@ def _kernel_core(table: ModeTable, t, which: str):
     tt = np.asarray(t, dtype=float)
     scalar_t = tt.ndim == 0
     tt = np.atleast_1d(tt)
-    if np.any(tt < 0.0):
+    if not np.all(tt >= 0.0):  # also rejects NaN
         raise ValueError(f"time must be non-negative, got {tt.min()}")
     small = table.omega[:, None] * tt[None, :] < SERIES_SWITCH
     osc = table.osc[:, None]
@@ -251,6 +252,23 @@ def kernel_dt_values(table: ModeTable, t):
 def flux_values(table: ModeTable, t):
     """eps*H_n'(t) + c^2*H_n(t) for all modes of the table."""
     return _kernel_core(table, t, "flux")
+
+
+def propagate_state(table: ModeTable, u0, v0, hv, hd):
+    """Modal state (u, u_t) at time t from u = u0, u_t = v0 at time 0.
+
+    ``hv`` and ``hd`` are H_n(t) and H_n'(t) with the modes along axis 0
+    (as returned by ``kernel_values``/``kernel_dt_values``); ``u0`` and
+    ``v0`` broadcast against them.  With no source,
+
+        u   = v0*H_n + u0*(H_n' + 2*h_n*H_n),
+        u_t = v0*H_n' - u0*b_n^2*H_n,
+
+    so the state is returned unchanged at t = 0.
+    """
+    col = (slice(None),) + (None,) * (np.ndim(hv) - 1)
+    h, b2 = table.h[col], (table.b**2)[col]
+    return v0 * hv + u0 * (hd + 2.0 * h * hv), v0 * hd - u0 * b2 * hv
 
 
 def classify_modes(p: Params, k: float = 0.5) -> ModeClassification:

@@ -8,7 +8,8 @@ equation
 (u_linear carries the initial data), and is solved by Picard iteration
 starting from the linear part.  Each sweep evaluates F on a space-time
 collocation grid, expands it into sine spectra, and applies the per-mode
-Volterra convolution with the kernel H_n.
+Volterra convolution with the kernel H_n.  Every source kind goes through
+the same sweep; one that does not depend on u is done after the first.
 
 The Volterra integrals use end-corrected trapezoid (Gregory) weights of
 order four, evaluated as one FFT convolution per mode plus boundary
@@ -38,7 +39,7 @@ from scipy.signal import fftconvolve
 from . import green_kernel
 from .errors import NumericalError
 from .fields import Field
-from .modes import Params, kernel_dt_values, kernel_values, mode_table
+from .modes import Params, kernel_dt_values, kernel_values, mode_table, propagate_state
 from .sources import (
     AlgebraicSource,
     ExpDecayingSource,
@@ -49,7 +50,7 @@ from .sources import (
     depends_on_u,
     evaluate_source,
 )
-from .spectrum import SineSpectrum, analyze, constant_coefficients
+from .spectrum import SineSpectrum, analyze, constant_coefficients, pad_modes
 
 __all__ = [
     "PicardConfig",
@@ -72,9 +73,9 @@ class PicardConfig:
     window: float = 10.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
+        if not self.tol > 0 or self.max_iter < 1:  # not > 0 also rejects NaN
             raise ValueError("tol must be positive and max_iter >= 1")
-        if self.nx < 9 or self.dt <= 0 or self.window <= 0:
+        if self.nx < 9 or not self.dt > 0 or not self.window > 0:
             raise ValueError("invalid collocation grid")
         if self.n_modes > self.nx - 2:
             raise ValueError(f"n_modes = {self.n_modes} needs at least {self.n_modes + 2} x-nodes")
@@ -156,79 +157,53 @@ def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
     return out * dt
 
 
-def _independent_spectra(source: SourceTerm, p: Params, n_modes: int,
-                         t_abs: np.ndarray) -> np.ndarray:
-    """Sine spectra of a u-independent source at each collocation time."""
-    nt = t_abs.size
-    fhat = np.zeros((n_modes, nt))
+def _source_spectra(source: SourceTerm, p: Params, n_modes: int, u_interior: np.ndarray,
+                    x_interior: np.ndarray, t_abs: np.ndarray) -> np.ndarray:
+    """Sine spectra of F(., t, u) at each collocation time, one column per time.
+
+    Kinds with known spectra use them exactly (the constant bias of the sine
+    source too); the others are sampled on the interior collocation nodes
+    and transformed by DST-I.
+    """
+    if isinstance(source, ZeroSource):
+        return np.zeros((n_modes, t_abs.size))
     if isinstance(source, LinearSource):
-        for j, t in enumerate(t_abs):
-            c = np.asarray(source.f(float(t)).coeffs, dtype=float)
-            m = min(n_modes, c.size)
-            fhat[:m, j] = c[:m]
-    elif isinstance(source, ExpDecayingSource):
+        return np.column_stack([pad_modes(source.f(float(t)).coeffs, n_modes) for t in t_abs])
+    if isinstance(source, ExpDecayingSource):
         prof = analyze(lambda x: np.asarray(source.profile(x), dtype=float),
                        n_modes, l=p.l)
-        fhat = prof.coeffs[:, None] * np.exp(-source.mu * t_abs)[None, :]
-    elif isinstance(source, AlgebraicSource):
+        return prof.coeffs[:, None] * np.exp(-source.mu * t_abs)[None, :]
+    if isinstance(source, AlgebraicSource):
         const = constant_coefficients(1.0, p.l, n_modes)
-        fhat = const[:, None] * (source.h / (source.k0 + t_abs) ** (1.0 + source.alpha))[None, :]
-    else:
-        raise TypeError(f"source kind {type(source).__name__} is not u-independent")
-    return fhat
-
-
-def _dependent_spectra(source: SourceTerm, u_interior: np.ndarray,
-                       x_interior: np.ndarray, t_abs: np.ndarray,
-                       m_intervals: int, n_modes: int,
-                       bias_coeffs: np.ndarray | None) -> np.ndarray:
-    """Sine spectra of F(., t, u) column by column (interior collocation)."""
+        return const[:, None] * (source.h / (source.k0 + t_abs) ** (1.0 + source.alpha))[None, :]
     if isinstance(source, SineGordonSource):
         fvals = np.sin(u_interior)
     else:
         fvals = np.empty_like(u_interior)
         for j, t in enumerate(t_abs):
             fvals[:, j] = evaluate_source(source, x_interior, float(t), u_interior[:, j])
-    fhat = dst(fvals, type=1, axis=0)[:n_modes, :] / m_intervals
-    if bias_coeffs is not None:
-        fhat = fhat + bias_coeffs[:, None]
+    fhat = dst(fvals, type=1, axis=0)[:n_modes, :] / (x_interior.size + 1)
+    if isinstance(source, SineGordonSource):
+        fhat = fhat + constant_coefficients(-source.bias, p.l, n_modes)[:, None]
     return fhat
 
 
-def _spectra(compute, *args) -> np.ndarray:
-    """Call a spectra routine, reporting a failing source as one error kind."""
-    try:
-        return compute(*args)
-    except Exception as exc:
-        raise RuntimeError(f"source evaluation failed: {exc}") from exc
-
-
 def _window_sweeps(p, table, hmat, hdmat, sin_int, x_int, g0c, g1c, source, t_abs,
-                   dt, cfg, bias_coeffs):
+                   dt, cfg):
     """Iterate one window to tolerance; return modal history and trace.
 
     ``hmat`` and ``hdmat`` hold H_n and H_n' at the window's relative times
-    t_abs - t_abs[0].
+    t_abs - t_abs[0].  A source that does not depend on u needs one sweep.
     """
-    n_modes, nt = table.n_modes, t_abs.size
-    lin = g1c[:, None] * hmat + g0c[:, None] * (hdmat + 2.0 * table.h[:, None] * hmat)
-    lin_dt = g1c[:, None] * hdmat - g0c[:, None] * (table.b**2)[:, None] * hmat
-    m_intervals = sin_int.shape[0] + 1
-
-    if isinstance(source, ZeroSource):
-        return lin, lin_dt, np.zeros((n_modes, nt)), [0.0], True
-    if not depends_on_u(source):
-        fhat = _spectra(_independent_spectra, source, p, n_modes, t_abs)
-        uf = volterra_convolve(hmat, fhat, dt)
-        return lin - uf, lin_dt, fhat, [float(np.max(np.abs(sin_int @ uf)))], True
-
+    lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
     modal = lin
     grid = sin_int @ modal
     residuals = []
-    fhat = None
     for _ in range(cfg.max_iter):
-        fhat = _spectra(_dependent_spectra, source, grid, x_int, t_abs,
-                        m_intervals, n_modes, bias_coeffs)
+        try:
+            fhat = _source_spectra(source, p, table.n_modes, grid, x_int, t_abs)
+        except Exception as exc:
+            raise RuntimeError(f"source evaluation failed: {exc}") from exc
         modal_next = lin - volterra_convolve(hmat, fhat, dt)
         grid_next = sin_int @ modal_next
         if not np.all(np.isfinite(grid_next)):
@@ -236,7 +211,7 @@ def _window_sweeps(p, table, hmat, hdmat, sin_int, x_int, g0c, g1c, source, t_ab
         diff = float(np.max(np.abs(grid_next - grid)))
         residuals.append(diff)
         modal, grid = modal_next, grid_next
-        if diff <= cfg.tol:
+        if diff <= cfg.tol or not depends_on_u(source):
             return modal, lin_dt, fhat, residuals, True
         if len(residuals) >= 6 and diff > 10.0 * residuals[0]:
             break  # clearly diverging; let the caller shrink the window
@@ -258,17 +233,7 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     sin_int = np.sin(np.outer(x[1:-1], table.gamma))
     sin_full = np.zeros((cfg.nx, n_modes))
     sin_full[1:-1, :] = sin_int
-    bias_coeffs = None
-    if isinstance(prob.source, SineGordonSource):
-        bias_coeffs = constant_coefficients(-prob.source.bias, p.l, n_modes)
-
-    def pad(c):
-        out = np.zeros(n_modes)
-        m = min(n_modes, c.size)
-        out[:m] = c[:m]
-        return out
-
-    g0c, g1c = pad(prob.g0.coeffs), pad(prob.g1.coeffs)
+    g0c, g1c = pad_modes(prob.g0.coeffs, n_modes), pad_modes(prob.g1.coeffs, n_modes)
     window = prob.horizon if not depends_on_u(prob.source) else min(cfg.window, prob.horizon)
     t_cols, v_cols = [], []
     traces, residuals_flat = [], []
@@ -291,8 +256,7 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
                                     kernel_dt_values(table, t_rel))
         hmat, hdmat = kernels[span, steps]
         modal, lin_dt, fhat, res, ok = _window_sweeps(
-            p, table, hmat, hdmat, sin_int, x[1:-1], g0c, g1c, prob.source, t_abs, dt,
-            cfg, bias_coeffs)
+            p, table, hmat, hdmat, sin_int, x[1:-1], g0c, g1c, prob.source, t_abs, dt, cfg)
         if not ok and steps > min_steps:
             window = max(span / 2.0, min_steps * cfg.dt)
             continue
@@ -301,13 +265,11 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
         traces.append({"t_start": t0, "t_end": t1, "iterations": len(res),
                        "converged": ok})
         all_converged &= ok
-        modal_dt_end = lin_dt[:, -1]
-        if fhat is not None and not isinstance(prob.source, ZeroSource):
-            modal_dt_end = modal_dt_end - volterra_convolve(hdmat, fhat, dt)[:, -1]
+        modal_dt_end = lin_dt[:, -1] - volterra_convolve(hdmat, fhat, dt)[:, -1]
         start = 1 if t_cols else 0
         t_cols.append(t_abs[start:])
         v_cols.append(sin_full @ modal[:, start:])
-        g0c, g1c = modal[:, -1].copy(), modal_dt_end.copy()
+        g0c, g1c = modal[:, -1], modal_dt_end
         t0 = t1
     values = np.concatenate(v_cols, axis=1)
     t_nodes = np.concatenate(t_cols)

@@ -33,6 +33,7 @@ __all__ = [
     "synthesize",
     "second_derivative",
     "constant_coefficients",
+    "pad_modes",
     "BOUNDARY_WARN_TOL",
 ]
 
@@ -181,3 +182,16 @@ def constant_coefficients(value: float, l: float, n_modes: int) -> np.ndarray:
     """
     n = np.arange(1, n_modes + 1)
     return value * 2.0 * (1.0 - (-1.0) ** n) / (n * math.pi)
+
+
+def pad_modes(coeffs, n_modes: int) -> np.ndarray:
+    """The first ``n_modes`` coefficients, zero-padded when there are fewer.
+
+    Cutting returns a view of ``coeffs``; padding returns a new array.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.size >= n_modes:
+        return c[:n_modes]
+    out = np.zeros(n_modes)
+    out[: c.size] = c
+    return out

@@ -124,6 +124,17 @@ class TestContract:
         assert cli.run(["modes", "--n", "2"]) == 2
         assert "numerical failure: LinAlgError" in capsys.readouterr().err
 
+    def test_invalid_solver_tolerances_are_usage_errors(self):
+        # rejected when the configs are built, before any quadrature or sweep
+        lin = ("solve-linear", "--source", "linear", "--nx", "5", "--nt", "3")
+        nonlin = ("solve-nonlinear", "--T", "0.5", "--nx", "17", "--n-modes", "4")
+        for argv in (lin + ("--quad-tol", "-1"), lin + ("--quad-tol", "nan"),
+                     lin + ("--quad-tol", "inf"), nonlin + ("--tol", "nan"),
+                     nonlin + ("--dt", "nan"), nonlin + ("--window", "nan")):
+            res = run_cli(*argv)
+            assert res.returncode == 1, (argv, res.stderr)
+            assert "usage error" in res.stderr
+
     def test_missing_config_file(self):
         res = run_cli("modes", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 1

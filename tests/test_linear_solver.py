@@ -7,14 +7,12 @@ from conftest import P_EQ
 from strip_solver.errors import AccuracyError
 from strip_solver.green_kernel import decay_constants
 from strip_solver.asymptotics import decay_fit
-from strip_solver.modes import kernel_dt_values, kernel_values, mode_table
+from strip_solver.modes import kernel_dt_values, kernel_values, mode_table, propagate_state
 from strip_solver.linear_solver import (
     GridSpec,
     LinearProblem,
     QuadConfig,
     forced_response,
-    propagate_displacement,
-    propagate_velocity,
     residual,
     solve_linear,
 )
@@ -34,34 +32,44 @@ def zero_spec():
 
 
 class TestPropagators:
+    """modes.propagate_state: u = v0*H + u0*(H' + 2hH), u_t = v0*H' - u0*b^2*H."""
+
+    def state(self, u0, v0, t):
+        table = mode_table(P_EQ, u0.size)
+        return propagate_state(table, u0, v0, kernel_values(table, t),
+                               kernel_dt_values(table, t))
+
     def test_velocity_starts_from_rest(self):
-        out = propagate_velocity(P_EQ, mode1(), 0.0)
-        assert np.all(out.coeffs == 0.0)
+        g1 = mode1().coeffs
+        u, ut = self.state(np.zeros(4), g1, 0.0)
+        assert np.all(u == 0.0)
+        assert np.array_equal(ut, g1)
 
     def test_velocity_single_mode(self):
-        out = propagate_velocity(P_EQ, mode1(), 1.0)
-        assert out.coeffs[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        u, _ = self.state(np.zeros(4), mode1().coeffs, 1.0)
+        assert u[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_velocity_difference_quotient_recovers_data(self):
-        g1 = analyze(make_profile("bump", L), 32, l=L)
+        g1 = analyze(make_profile("bump", L), 32, l=L).coeffs
         delta = 1e-6
-        out = propagate_velocity(P_EQ, g1, delta)
-        assert np.max(np.abs(out.coeffs / delta - g1.coeffs)) < 1e-5
+        u, _ = self.state(np.zeros(32), g1, delta)
+        assert np.max(np.abs(u / delta - g1)) < 1e-5
 
     def test_displacement_identity_at_zero(self):
-        g0 = analyze(make_profile("bump", L), 16, l=L)
-        out = propagate_displacement(P_EQ, g0, 0.0)
-        assert np.array_equal(out.coeffs, g0.coeffs)
+        g0 = analyze(make_profile("bump", L), 16, l=L).coeffs
+        u, ut = self.state(g0, np.zeros(16), 0.0)
+        assert np.array_equal(u, g0)
+        assert np.all(ut == 0.0)
 
     def test_displacement_single_mode(self):
-        out = propagate_displacement(P_EQ, mode1(), 1.0)
-        assert out.coeffs[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+        u, _ = self.state(mode1().coeffs, np.zeros(4), 1.0)
+        assert u[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
     def test_displacement_initial_rate_vanishes(self):
-        g0 = analyze(make_profile("bump", L), 32, l=L)
+        g0 = analyze(make_profile("bump", L), 32, l=L).coeffs
         delta = 1e-6
-        out = propagate_displacement(P_EQ, g0, delta)
-        assert np.max(np.abs((out.coeffs - g0.coeffs) / delta)) < 1e-5
+        u, _ = self.state(g0, np.zeros(32), delta)
+        assert np.max(np.abs((u - g0) / delta)) < 1e-5
 
 
 class TestForcedResponse:
@@ -132,6 +140,12 @@ class TestSourceQuadrature:
             solve_linear(prob, grid, QuadConfig(tol=1e-30, max_doublings=1))
         assert 1e-30 < info.value.estimate < 1e-3
 
+    def test_config_rejects_invalid_controls(self):
+        for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                       {"max_doublings": 0}):
+            with pytest.raises(ValueError):
+                QuadConfig(**kwargs)
+
 
 class TestSolveLinear:
     def grid(self, T=3.0, nx=41, nt=31, with_dt=False):
@@ -177,9 +191,10 @@ class TestSolveLinear:
         g1 = analyze(make_profile("poly", L), 16, l=L)
         grid = self.grid(T=2.0, nx=17, nt=9)
         fld = solve_linear(LinearProblem(P_EQ, g0, g1, None, 2.0), grid)
+        table = mode_table(P_EQ, 16)
         for j, t in enumerate(grid.t_nodes):
-            coeffs = (propagate_velocity(P_EQ, g1, t).coeffs
-                      + propagate_displacement(P_EQ, g0, t).coeffs)
+            coeffs, _ = propagate_state(table, g0.coeffs, g1.coeffs, kernel_values(table, t),
+                                        kernel_dt_values(table, t))
             column = synthesize(SineSpectrum(l=L, coeffs=coeffs), grid.x_nodes)
             assert np.max(np.abs(fld.values[:, j] - column)) < 1e-14
 
@@ -215,6 +230,16 @@ class TestSolveLinear:
         prob = LinearProblem(P_EQ, g0, g1, None, 1.0)
         fld = solve_linear(prob, self.grid(T=1.0, nx=9, nt=3))
         assert np.all(np.isfinite(fld.values))
+
+    def test_grid_rejects_non_finite_nodes(self):
+        xs, ts = np.linspace(0.0, L, 5), np.linspace(0.0, 1.0, 3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(x_nodes=np.append(xs, bad), t_nodes=ts)
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(x_nodes=xs, t_nodes=np.array([0.0, bad]))
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(x_nodes=xs, t_nodes=np.array([bad]))
 
     def test_rejects_mismatched_length(self):
         bad = SineSpectrum(l=1.0, coeffs=np.array([1.0]))

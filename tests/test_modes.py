@@ -93,7 +93,8 @@ class TestKernel:
     def test_rejects_negative_time(self):
         table = mode_table(P_EQ, 3)
         for values in (kernel_values, kernel_dt_values, flux_values):
-            for t in (-0.1, -1.0, np.array([0.0, 1.0, -0.1]), np.array([-1e-300])):
+            for t in (-0.1, -1.0, np.array([0.0, 1.0, -0.1]), np.array([-1e-300]),
+                      math.nan, np.array([0.0, math.nan, 1.0])):
                 with pytest.raises(ValueError):
                     values(table, t)
 

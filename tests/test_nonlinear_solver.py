@@ -17,13 +17,14 @@ from strip_solver.nonlinear_solver import (
     volterra_convolve,
 )
 from strip_solver.sources import (
+    AlgebraicSource,
     CustomSource,
     ExpDecayingSource,
     LinearSource,
     SineGordonSource,
     ZeroSource,
 )
-from strip_solver.spectrum import SineSpectrum
+from strip_solver.spectrum import SineSpectrum, constant_coefficients
 
 L = math.pi
 
@@ -92,6 +93,43 @@ class TestPicardSolve:
         reference = solve_linear(LinearProblem(P_EQ, spec([0.05]), spec([0.0]), f, 2.0),
                                  grid, QuadConfig(tol=1e-12))
         assert np.max(np.abs(fld.values - reference.values)) < 1e-5
+
+    def test_algebraic_source_matches_linear_solver(self):
+        # one sweep through the exact spectra h/(k0 + t)^(1 + alpha) * 1_n
+        src = AlgebraicSource(h=1.0, k0=1.0, alpha=0.5)
+        fld, rep = picard_solve(self.small_problem(src),
+                                PicardConfig(nx=65, dt=0.01, n_modes=16))
+        assert rep.converged and rep.iterations == 1
+        f = lambda t: spec(constant_coefficients(src.h / (src.k0 + t) ** (1.0 + src.alpha), L, 16))
+        grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
+        reference = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), f, 5.0),
+                                 grid, QuadConfig(tol=1e-11))
+        assert np.max(np.abs(fld.values - reference.values)) < 1e-5
+
+    def test_window_bisection_converges_on_halved_windows(self):
+        # 7 sweeps reach 1e-10 on a window of 1.25 but not on 5 or 2.5
+        prob = self.small_problem(SineGordonSource(bias=0.3))
+        cfg = dict(tol=1e-10, max_iter=8, nx=33, dt=0.05, n_modes=8)
+        fld, rep = picard_solve(prob, PicardConfig(window=5.0, **cfg))
+        assert rep.converged
+        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [
+            (0.0, 1.25), (1.25, 2.5), (2.5, 3.75), (3.75, 5.0)]
+        direct, _ = picard_solve(prob, PicardConfig(window=1.25, **cfg))
+        assert np.array_equal(fld.t_nodes, direct.t_nodes)
+        assert np.array_equal(fld.values, direct.values)
+
+    def test_window_bisection_stops_at_the_step_floor(self):
+        # 3 sweeps never reach 1e-10: windows shrink to 8 steps of dt = 0.05
+        # and are accepted unconverged; the last one is the remainder
+        prob = self.small_problem(SineGordonSource(bias=0.3))
+        _, rep = picard_solve(prob, PicardConfig(tol=1e-10, max_iter=3, nx=33, dt=0.05,
+                                                 n_modes=8, window=5.0))
+        assert not rep.converged
+        spans = [w["t_end"] - w["t_start"] for w in rep.window_traces]
+        assert len(spans) == 13
+        assert spans[:-1] == pytest.approx([0.4] * 12, abs=1e-12)
+        assert spans[-1] == pytest.approx(0.2, abs=1e-12)
+        assert not any(w["converged"] for w in rep.window_traces)
 
     def test_kernels_built_once_per_window_length(self, monkeypatch):
         calls = []
