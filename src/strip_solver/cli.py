@@ -3,8 +3,13 @@
 Subcommands: modes, green, solve-linear, solve-nonlinear, oracle, verify,
 decay-fit.  Every run writes a CSV with a self-describing ``# meta:``
 header (parameters, mode counts, tolerances, solver version) so the run
-can be reproduced.  Options may come from a flat ``key = value`` config
-file (--config); command-line flags win over config values.
+can be reproduced.  Each subcommand's options are one table
+``key -> (type, default)`` in ``_OPTIONS``: it builds the parser, casts the
+values of a flat ``key = value`` config file (--config; keys are the flag
+names with ``_`` for ``-``) and fills each option from its flag, else its
+config value, else its default.  A default of None leaves the value to the
+command or to the library config (PicardConfig, OracleConfig, QuadConfig),
+which keeps its own defaults.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  The optional
 environment variable STRIP_SOLVER_THREADS caps BLAS/FFT threads for
@@ -56,9 +61,59 @@ def _write_csv(path, meta: dict, header: list, rows) -> None:
             fh.write(text)
 
 
+# ----------------------------------------------------------------- options
+
+
+def _flag(text: str) -> bool:
+    """Config value of an on/off flag (the flag itself only switches on)."""
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _source_kind(text: str) -> str:
+    kinds = ("zero", "sine-gordon", "exp", "algebraic", "linear")
+    if text not in kinds:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(kinds)})")
+    return text
+
+
+_PARAMS = {"epsilon": (float, 1.0), "a": (float, 1.0), "c": (float, 1.0),
+           "l": (float, math.pi), "out": (str, None)}
+_DATA = {"g0": (str, None), "g0_scale": (float, 1.0), "g1": (str, None),
+         "g1_scale": (float, 1.0)}
+_SOURCE = {"source": (_source_kind, "zero"), "bias": (float, 0.0), "mu": (float, 0.25),
+           "k0": (float, 1.0), "alpha": (float, 0.5), "f_profile": (str, "sin_1"),
+           "f_scale": (float, 1.0)}
+
+_OPTIONS = {
+    "modes": {**_PARAMS, "n": (int, 8), "k": (float, 0.5)},
+    "green": {**_PARAMS, "xi": (float, None), "t_min": (float, 0.1),
+              "t_max": (float, 5.0), "nt": (int, 20), "nx": (int, 21), "tol": (float, 1e-5)},
+    "solve-linear": {**_PARAMS, **_DATA, **_SOURCE, "n_modes": (int, 64), "T": (float, 2.0),
+                     "nx": (int, 33), "nt": (int, 21), "with_dt": (_flag, False),
+                     "quad_tol": (float, None)},
+    "solve-nonlinear": {**_PARAMS, **_DATA, **_SOURCE, "n_modes": (int, None),
+                        "T": (float, 10.0), "tol": (float, None), "max_iter": (int, None),
+                        "window": (float, None), "dt": (float, None), "nx": (int, None)},
+    "oracle": {**_PARAMS, **_DATA, **_SOURCE, "n_modes": (int, 64), "T": (float, 2.0),
+               "nx": (int, None), "dt": (float, None), "theta": (float, None),
+               "t_out_every": (float, 0.1)},
+    "verify": {**_PARAMS, "T": (float, 2.0), "tolerance": (float, 5e-3),
+               "order_min": (float, 1.9)},
+    "decay-fit": {"input": (str, None), "out": (str, None), "window_lo": (float, None),
+                  "window_hi": (float, None), "alpha": (float, None)},
+}
+
+
 def _read_config(path) -> dict:
     try:
-        raw = open(path).read()
+        with open(path) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     values = {}
@@ -73,35 +128,31 @@ def _read_config(path) -> dict:
     return values
 
 
-def _apply_config(args, parser_keys: dict, config_path) -> None:
-    if not config_path:
-        return
-    values = _read_config(config_path)
-    unknown = sorted(set(values) - set(parser_keys))
+def _fill(args, options: dict) -> None:
+    """Give every option without a flag its config value, else its default."""
+    config = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(options))
     if unknown:
         raise UsageError(
             f"unknown config key(s) {', '.join(unknown)}; valid keys: "
-            + ", ".join(sorted(parser_keys)))
-    for key, text in values.items():
+            + ", ".join(sorted(options)))
+    for key, (cast, default) in options.items():
         if getattr(args, key) is not None:
             continue  # flags win
-        caster = parser_keys[key]
         try:
-            setattr(args, key, caster(text))
-        except ValueError:
-            raise UsageError(f"config key {key!r}: cannot parse {text!r}")
+            setattr(args, key, cast(config[key]) if key in config else default)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise UsageError(f"config key {key!r}: cannot parse {config[key]!r}")
 
 
-def _defaults(args, **pairs):
-    for key, value in pairs.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+def _given(args, *keys) -> dict:
+    """The named options that a flag or config value set, for a library config."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _params(args):
     from .modes import Params
 
-    _defaults(args, epsilon=1.0, a=1.0, c=1.0, l=math.pi)
     return Params(epsilon=args.epsilon, a=args.a, c=args.c, l=args.l)
 
 
@@ -112,75 +163,42 @@ def _meta(p, **extra) -> dict:
     return meta
 
 
-def _add_param_flags(sp):
-    sp.add_argument("--config", type=str)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--l", type=float)
-    sp.add_argument("--out", type=str)
-
-
-def _add_data_flags(sp):
-    sp.add_argument("--g0", type=str)
-    sp.add_argument("--g0-scale", type=float)
-    sp.add_argument("--g1", type=str)
-    sp.add_argument("--g1-scale", type=float)
-    sp.add_argument("--n-modes", type=int)
-
-
-def _spectrum_from_name(name, scale, p, n_modes):
+def _profile(name, scale, p, n_modes=None):
+    """``scale`` times the named profile on [0, l]: its first ``n_modes``
+    sine coefficients when ``n_modes`` is given, else a callable.  No name,
+    "zero" or a zero scale give zero data."""
     import numpy as np
 
     from .profiles import make_profile
     from .spectrum import SineSpectrum, analyze
 
-    if name is None or name == "zero" or scale == 0.0:
-        return SineSpectrum(l=p.l, coeffs=np.zeros(n_modes))
-    spec = analyze(make_profile(name, p.l), n_modes, l=p.l)
-    return SineSpectrum(l=p.l, coeffs=scale * spec.coeffs)
-
-
-def _source_flags(sp):
-    sp.add_argument("--source", type=str,
-                    choices=["zero", "sine-gordon", "exp", "algebraic", "linear"])
-    sp.add_argument("--bias", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--k0", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--f-profile", type=str)
-    sp.add_argument("--f-scale", type=float)
+    zero = name is None or name == "zero" or scale == 0.0
+    if n_modes is not None:
+        coeffs = (np.zeros(n_modes) if zero
+                  else scale * analyze(make_profile(name, p.l), n_modes, l=p.l).coeffs)
+        return SineSpectrum(l=p.l, coeffs=coeffs)
+    if zero:
+        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    prof = make_profile(name, p.l)
+    return lambda x: scale * prof(x)
 
 
 def _build_source(args, p, n_modes):
     from . import sources
-    from .profiles import make_profile
-    from .spectrum import SineSpectrum, analyze
 
-    _defaults(args, source="zero", bias=0.0, mu=0.25, k0=1.0, alpha=0.5,
-              f_profile="sin_1", f_scale=1.0)
     kind = args.source
     if kind == "zero":
         return sources.ZeroSource()
     if kind == "sine-gordon":
         return sources.SineGordonSource(bias=args.bias)
     if kind == "exp":
-        prof = make_profile(args.f_profile, p.l)
-        scale = args.f_scale
         return sources.ExpDecayingSource(
-            profile=lambda x: scale * prof(x), mu=args.mu)
+            profile=_profile(args.f_profile, args.f_scale, p), mu=args.mu)
     if kind == "algebraic":
         return sources.AlgebraicSource(h=abs(args.f_scale), k0=args.k0,
                                        alpha=args.alpha)
-    if kind == "linear":
-        base = analyze(make_profile(args.f_profile, p.l), n_modes, l=p.l)
-        scale = args.f_scale
-
-        def f(t):
-            return SineSpectrum(l=p.l, coeffs=scale * base.coeffs)
-
-        return sources.LinearSource(f)
-    raise UsageError(f"unknown source kind {kind!r}")
+    spectrum = _profile(args.f_profile, args.f_scale, p, n_modes)  # kind == "linear"
+    return sources.LinearSource(lambda t: spectrum)
 
 
 def _field_rows(field):
@@ -196,12 +214,12 @@ def _field_rows(field):
 
 
 def _cmd_modes(args):
+    """dump per-mode quantities and classification"""
     import numpy as np
 
     from .modes import classify_modes, mode_table
 
     p = _params(args)
-    _defaults(args, n=8, k=0.5)
     cls = classify_modes(p, args.k)
     m = mode_table(p, args.n)
     regime = np.where(m.crit, "Critical", np.where(m.osc, "Oscillatory", "Overdamped"))
@@ -214,77 +232,65 @@ def _cmd_modes(args):
 
 
 def _cmd_green(args):
+    """evaluate G, G_t and the flux on a grid"""
     import numpy as np
 
     from .green_kernel import green_profile
 
     p = _params(args)
-    _defaults(args, xi=p.l / 2.0, t_min=0.1, t_max=5.0, nt=20, nx=21, tol=1e-5)
+    xi = p.l / 2.0 if args.xi is None else args.xi
     if args.t_min <= 0:
         raise UsageError("t-min must be positive (the kernel series needs t > 0)")
     xs = np.linspace(0.0, p.l, args.nx)
     ts = np.linspace(args.t_min, args.t_max, args.nt)
     rows = []
     for t in ts:
-        g = green_profile(p, xs, args.xi, t, kind="green", tol=args.tol)
-        gt = green_profile(p, xs, args.xi, t, kind="dt", tol=args.tol)
-        fl = green_profile(p, xs, args.xi, t, kind="flux", tol=args.tol)
+        g = green_profile(p, xs, xi, t, kind="green", tol=args.tol)
+        gt = green_profile(p, xs, xi, t, kind="dt", tol=args.tol)
+        fl = green_profile(p, xs, xi, t, kind="flux", tol=args.tol)
         rows.extend((x, t, g[i], gt[i], fl[i]) for i, x in enumerate(xs))
-    meta = _meta(p, xi=args.xi, tol=args.tol)
+    meta = _meta(p, xi=xi, tol=args.tol)
     _write_csv(args.out, meta, ["x", "t", "g", "g_t", "flux"], rows)
     return 0
 
 
-def _grid(args, p):
+def _cmd_solve_linear(args):
+    """solve the linear strip problem"""
     import numpy as np
 
-    from .linear_solver import GridSpec
-
-    _defaults(args, T=2.0, nx=33, nt=21, with_dt=False)
-    return GridSpec(x_nodes=np.linspace(0.0, p.l, args.nx),
-                    t_nodes=np.linspace(0.0, args.T, args.nt),
-                    with_dt=bool(args.with_dt))
-
-
-def _cmd_solve_linear(args):
-    from .linear_solver import LinearProblem, QuadConfig, solve_linear
-    from .sources import LinearSource
+    from .linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 
     p = _params(args)
-    _defaults(args, n_modes=64, g0_scale=1.0, g1_scale=1.0, quad_tol=1e-9)
-    grid = _grid(args, p)
-    g0 = _spectrum_from_name(args.g0, args.g0_scale, p, args.n_modes)
-    g1 = _spectrum_from_name(args.g1, args.g1_scale, p, args.n_modes)
-    source = _build_source(args, p, args.n_modes)
-    if not isinstance(source, LinearSource) and args.source not in (None, "zero"):
+    grid = GridSpec(x_nodes=np.linspace(0.0, p.l, args.nx),
+                    t_nodes=np.linspace(0.0, args.T, args.nt), with_dt=args.with_dt)
+    g0 = _profile(args.g0, args.g0_scale, p, args.n_modes)
+    g1 = _profile(args.g1, args.g1_scale, p, args.n_modes)
+    if args.source not in ("zero", "linear"):
         raise UsageError("solve-linear accepts only source = zero or linear")
-    f = source.f if isinstance(source, LinearSource) else None
+    f = _build_source(args, p, args.n_modes).f if args.source == "linear" else None
     prob = LinearProblem(params=p, g0=g0, g1=g1, f=f, horizon=args.T)
-    fld = solve_linear(prob, grid, quad=QuadConfig(tol=args.quad_tol))
-    meta = _meta(p, n_modes=args.n_modes, T=args.T, quad_tol=args.quad_tol,
-                 g0=args.g0 or "zero", g1=args.g1 or "zero",
-                 source=args.source or "zero")
+    quad = QuadConfig() if args.quad_tol is None else QuadConfig(tol=args.quad_tol)
+    fld = solve_linear(prob, grid, quad=quad)
+    meta = _meta(p, n_modes=args.n_modes, T=args.T, quad_tol=quad.tol,
+                 g0=args.g0 or "zero", g1=args.g1 or "zero", source=args.source)
     header = ["x", "t", "u"] + (["u_t"] if grid.with_dt else [])
     _write_csv(args.out, meta, header, _field_rows(fld))
     return 0
 
 
 def _cmd_solve_nonlinear(args):
+    """fixed-point solve with a source term"""
     from .nonlinear_solver import NonlinearProblem, PicardConfig, picard_solve
 
     p = _params(args)
-    _defaults(args, n_modes=32, g0_scale=1.0, g1_scale=1.0, T=10.0, tol=1e-8,
-              max_iter=50, window=10.0, dt=0.01, nx=65)
-    g0 = _spectrum_from_name(args.g0, args.g0_scale, p, args.n_modes)
-    g1 = _spectrum_from_name(args.g1, args.g1_scale, p, args.n_modes)
-    source = _build_source(args, p, args.n_modes)
+    cfg = PicardConfig(**_given(args, "tol", "max_iter", "nx", "dt", "n_modes", "window"))
+    g0 = _profile(args.g0, args.g0_scale, p, cfg.n_modes)
+    g1 = _profile(args.g1, args.g1_scale, p, cfg.n_modes)
+    source = _build_source(args, p, cfg.n_modes)
     prob = NonlinearProblem(params=p, g0=g0, g1=g1, source=source, horizon=args.T)
-    cfg = PicardConfig(tol=args.tol, max_iter=args.max_iter, nx=args.nx,
-                       dt=args.dt, n_modes=args.n_modes, window=args.window)
     fld, report = picard_solve(prob, cfg)
-    meta = _meta(p, n_modes=args.n_modes, T=args.T, tol=args.tol,
-                 source=args.source or "zero", iterations=report.iterations,
-                 converged=report.converged)
+    meta = _meta(p, n_modes=cfg.n_modes, T=args.T, tol=cfg.tol, source=args.source,
+                 iterations=report.iterations, converged=report.converged)
     _write_csv(args.out, meta, ["x", "t", "u"], _field_rows(fld))
     if not report.converged:
         print("fixed-point iteration did not converge", file=sys.stderr)
@@ -293,42 +299,32 @@ def _cmd_solve_nonlinear(args):
 
 
 def _cmd_oracle(args):
+    """finite-difference solve (verification path)"""
     import numpy as np
 
     from .fd_oracle import OracleConfig, oracle_solve
-    from .profiles import make_profile
 
     p = _params(args)
-    _defaults(args, n_modes=64, g0_scale=1.0, g1_scale=1.0, T=2.0, nx=127,
-              dt=0.005, theta=0.5, t_out_every=0.1)
+    if not (math.isfinite(args.t_out_every) and args.t_out_every > 0):
+        raise UsageError(f"t-out-every must be positive and finite, got {args.t_out_every}")
     source = _build_source(args, p, args.n_modes)
-
-    def data(name, scale):
-        if name is None or name == "zero":
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        prof = make_profile(name, p.l)
-        return lambda x: scale * prof(x)
-
-    cfg = OracleConfig(nx=args.nx, dt=args.dt, theta=args.theta)
+    cfg = OracleConfig(**_given(args, "nx", "dt", "theta"))
     t_out = np.arange(0.0, args.T + 1e-12, args.t_out_every)
-    fld = oracle_solve(p, data(args.g0, args.g0_scale), data(args.g1, args.g1_scale),
-                       source, args.T, cfg, t_out=t_out)
-    meta = _meta(p, nx=args.nx, dt=args.dt, theta=args.theta, T=args.T,
-                 source=args.source or "zero")
+    fld = oracle_solve(p, _profile(args.g0, args.g0_scale, p),
+                       _profile(args.g1, args.g1_scale, p), source, args.T, cfg, t_out=t_out)
+    meta = _meta(p, nx=cfg.nx, dt=cfg.dt, theta=cfg.theta, T=args.T, source=args.source)
     _write_csv(args.out, meta, ["x", "t", "u"], _field_rows(fld))
     return 0
 
 
 def _cmd_verify(args):
+    """spectral-vs-oracle refinement report"""
     from .verification import verify_linear
 
     p = _params(args)
-    _defaults(args, T=2.0, tolerance=5e-3, order_min=1.9)
     records = verify_linear(p, horizon=args.T)
     rows, ok = [], True
-    finest = {}
     for rec in records:
-        finest[rec.problem] = rec
         passed = rec.sup_diff <= args.tolerance and (
             math.isnan(rec.order) or rec.order >= args.order_min)
         ok &= passed
@@ -340,18 +336,16 @@ def _cmd_verify(args):
     return 0 if ok else 2
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
-
-
 def _cmd_decay_fit(args):
+    """fit an exponential decay rate to a run"""
     from .asymptotics import algebraic_decay_check, decay_fit
 
     if args.input is None:
         raise UsageError("decay-fit requires --input CSV (from solve-linear/oracle)")
     ts, sups = _sup_series_from_csv(args.input)
-    _defaults(args, window_lo=float(ts[0]), window_hi=float(ts[-1]))
-    fit = decay_fit(ts, sups, window=(args.window_lo, args.window_hi))
+    lo = float(ts[0]) if args.window_lo is None else args.window_lo
+    hi = float(ts[-1]) if args.window_hi is None else args.window_hi
+    fit = decay_fit(ts, sups, window=(lo, hi))
     meta = {"version": __version__, "input": args.input}
     header = ["rate", "log_amplitude", "max_residual", "t_lo", "t_hi"]
     row = [fit.rate, fit.log_amplitude, fit.max_residual, fit.window[0], fit.window[1]]
@@ -367,10 +361,12 @@ def _sup_series_from_csv(path):
     import numpy as np
 
     try:
-        lines = [ln for ln in open(path).read().splitlines()
-                 if ln and not ln.startswith("#")]
+        with open(path) as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     except OSError as exc:
         raise UsageError(f"cannot read input CSV: {exc}")
+    if len(lines) < 2:
+        raise UsageError(f"input CSV {path} has no data rows")
     header = lines[0].split(",")
     try:
         t_col, u_col = header.index("t"), header.index("u")
@@ -379,7 +375,10 @@ def _sup_series_from_csv(path):
     sup = {}
     for ln in lines[1:]:
         parts = ln.split(",")
-        t, u = float(parts[t_col]), abs(float(parts[u_col]))
+        try:
+            t, u = float(parts[t_col]), abs(float(parts[u_col]))
+        except (IndexError, ValueError):
+            raise UsageError(f"input CSV row {ln!r} lacks a numeric t or u")
         sup[t] = max(sup.get(t, 0.0), u)
     ts = np.array(sorted(sup))
     return ts, np.array([sup[t] for t in ts])
@@ -400,85 +399,22 @@ def _build_parser():
     parser = _Parser(prog="strip-solver",
                      description="Spectral solver for the dissipative strip equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-
-    def add_parser(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        subparsers[name] = sp
-        return sp
-
-    sp = add_parser("modes", help="dump per-mode quantities and classification")
-    _add_param_flags(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=float)
-
-    sp = add_parser("green", help="evaluate G, G_t and the flux on a grid")
-    _add_param_flags(sp)
-    sp.add_argument("--xi", type=float)
-    sp.add_argument("--t-min", type=float)
-    sp.add_argument("--t-max", type=float)
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--tol", type=float)
-
-    sp = add_parser("solve-linear", help="solve the linear strip problem")
-    _add_param_flags(sp)
-    _add_data_flags(sp)
-    _source_flags(sp)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--with-dt", action="store_const", const=True)
-    sp.add_argument("--quad-tol", type=float)
-
-    sp = add_parser("solve-nonlinear", help="fixed-point solve with a source term")
-    _add_param_flags(sp)
-    _add_data_flags(sp)
-    _source_flags(sp)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--max-iter", type=int)
-    sp.add_argument("--window", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--nx", type=int)
-
-    sp = add_parser("oracle", help="finite-difference solve (verification path)")
-    _add_param_flags(sp)
-    _add_data_flags(sp)
-    _source_flags(sp)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--t-out-every", type=float)
-
-    sp = add_parser("verify", help="spectral-vs-oracle refinement report")
-    _add_param_flags(sp)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--tolerance", type=float)
-    sp.add_argument("--order-min", type=float)
-
-    sp = add_parser("decay-fit", help="fit an exponential decay rate to a run")
-    sp.add_argument("--config", type=str)
-    sp.add_argument("--input", type=str)
-    sp.add_argument("--out", type=str)
-    sp.add_argument("--window-lo", type=float)
-    sp.add_argument("--window-hi", type=float)
-    sp.add_argument("--alpha", type=float)
-    return parser, subparsers
+    for name, options in _OPTIONS.items():
+        sp = sub.add_parser(name, help=_COMMANDS[name].__doc__)
+        sp.add_argument("--config", type=str)
+        for key, (cast, _) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if cast is _flag:
+                sp.add_argument(flag, action="store_const", const=True)
+            else:
+                sp.add_argument(flag, type=cast)
+    return parser
 
 
 def run(argv) -> int:
-    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        # config-value casters mirror the flag types of the chosen subcommand
-        casters = {}
-        for action in subparsers[args.command]._actions:
-            if action.dest in ("help", "config", "command"):
-                continue
-            casters[action.dest] = action.type or _parse_bool
-        _apply_config(args, casters, getattr(args, "config", None))
+        args = _build_parser().parse_args(argv)
+        _fill(args, _OPTIONS[args.command])
         return _COMMANDS[args.command](args)
     except Exception as exc:
         if _is_usage_error(exc):

@@ -159,8 +159,8 @@ def _series_eval(p: Params, xs: np.ndarray, xi: float, t: float, kind: str,
                  tol: float, k: float, n_terms: int | None) -> np.ndarray:
     if np.any((xs < 0) | (xs > p.l)) or not (0 <= xi <= p.l):
         raise ValueError("x and xi must lie in [0, l]")
-    if t <= 0:
-        raise ValueError(f"series evaluation requires t > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"series evaluation requires finite t > 0, got {t}")
     out = np.zeros_like(xs)
     if xi == 0.0 or xi == p.l:
         return out

@@ -203,9 +203,9 @@ def _overdamped(table: ModeTable, col, tt, which: str):
 def _kernel_core(table: ModeTable, t, which: str):
     """Evaluate H, H' or eps*H' + c^2*H for all table modes.
 
-    ``t`` may be a scalar or a 1-D array of non-negative times (a negative
-    or NaN time raises ValueError); the result has shape (n_modes,) for
-    scalar t and (n_modes, len(t)) otherwise.
+    ``t`` may be a scalar or a 1-D array of non-negative times (a negative,
+    infinite or NaN time raises ValueError); the result has shape
+    (n_modes,) for scalar t and (n_modes, len(t)) otherwise.
 
     Every (mode, time) element goes through exactly one branch, chosen by
     its phase omega*t and the mode's regime: the Maclaurin series below
@@ -220,8 +220,9 @@ def _kernel_core(table: ModeTable, t, which: str):
     tt = np.asarray(t, dtype=float)
     scalar_t = tt.ndim == 0
     tt = np.atleast_1d(tt)
-    if not np.all(tt >= 0.0):  # also rejects NaN
-        raise ValueError(f"time must be non-negative, got {tt.min()}")
+    valid = (tt >= 0.0) & (tt < np.inf)  # also rejects NaN
+    if not valid.all():
+        raise ValueError(f"time must be non-negative and finite, got {tt[~valid][0]}")
     small = table.omega[:, None] * tt[None, :] < SERIES_SWITCH
     osc = table.osc[:, None]
     masks = (small, osc & ~small, ~(osc | small))
@@ -323,10 +324,10 @@ def term_bounds(table: ModeTable, p: Params, t: float, k: float = 0.5,
     overdamped modes (where that chain is invalid) fall back to the direct
     bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).  The H' and flux bounds
     take the smaller of the two-exponential split and the envelope bound.
-    Raises ValueError unless t >= 0 and 0 < k < 1.
+    Raises ValueError unless 0 <= t < inf and 0 < k < 1.
     """
-    if not t >= 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be non-negative and finite, got {t}")
     if not (0.0 < k < 1.0):
         raise ValueError(f"k must lie in (0, 1), got {k}")
     rk = 1.0 / math.sqrt(1.0 - k)

@@ -93,8 +93,11 @@ class TestGreenEval:
         assert val == pytest.approx(ref, abs=6e-5)
 
     def test_requires_positive_time(self):
-        with pytest.raises(ValueError):
-            green_eval(P_EQ, 1.0, 1.0, 0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                green_eval(P_EQ, 1.0, 1.0, t)
+            with pytest.raises(ValueError):
+                green_profile(P_EQ, [1.0], 1.0, t, n_terms=8)
         with pytest.raises(ValueError):
             green_eval(P_EQ, -0.5, 1.0, 1.0)
 

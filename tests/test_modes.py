@@ -94,7 +94,8 @@ class TestKernel:
         table = mode_table(P_EQ, 3)
         for values in (kernel_values, kernel_dt_values, flux_values):
             for t in (-0.1, -1.0, np.array([0.0, 1.0, -0.1]), np.array([-1e-300]),
-                      math.nan, np.array([0.0, math.nan, 1.0])):
+                      math.nan, np.array([0.0, math.nan, 1.0]),
+                      math.inf, np.array([0.0, math.inf, 1.0])):
                 with pytest.raises(ValueError):
                     values(table, t)
 
@@ -243,8 +244,9 @@ class TestTermBound:
 
     def test_rejects_negative_time_and_bad_k(self):
         table = mode_table(P_EQ, 3)
-        with pytest.raises(ValueError):
-            term_bounds(table, P_EQ, -1.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                term_bounds(table, P_EQ, t)
         for k in (1.0, 1.5, -0.5):
             with pytest.raises(ValueError):
                 term_bounds(table, P_EQ, 1.0, k)
