@@ -36,9 +36,6 @@ _EXPORTS = {
     "TruncationPlan": "green_kernel",
     "decay_constants": "green_kernel",
     "plan_truncation": "green_kernel",
-    "green_eval": "green_kernel",
-    "green_dt_eval": "green_kernel",
-    "flux_eval": "green_kernel",
     "green_profile": "green_kernel",
     "Field": "fields",
     "LinearProblem": "linear_solver",

@@ -241,6 +241,8 @@ def _cmd_green(args):
     xi = p.l / 2.0 if args.xi is None else args.xi
     if args.t_min <= 0:
         raise UsageError("t-min must be positive (the kernel series needs t > 0)")
+    if args.nt < 1 or args.nx < 1:
+        raise UsageError(f"nt and nx must be at least 1, got {args.nt} and {args.nx}")
     xs = np.linspace(0.0, p.l, args.nx)
     ts = np.linspace(args.t_min, args.t_max, args.nt)
     rows = []

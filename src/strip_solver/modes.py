@@ -41,7 +41,6 @@ __all__ = [
     "flux_values",
     "propagate_state",
     "classify_modes",
-    "term_bounds",
     "CRITICAL_REL_TOL",
     "SERIES_SWITCH",
 ]
@@ -134,9 +133,7 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     crit = np.abs(h - b) <= CRITICAL_REL_TOL * h
     osc = (b > h) & ~crit
     over = ~(osc | crit)
-    omega = np.zeros_like(h)
-    omega[over] = np.sqrt((h[over] - b[over]) * (h[over] + b[over]))
-    omega[osc] = np.sqrt((b[osc] - h[osc]) * (b[osc] + h[osc]))
+    omega = np.where(crit, 0.0, np.sqrt(np.abs((h - b) * (h + b))))
     sign = np.where(osc, -1.0, 1.0)
     dm = np.where(over, b * b / (h + omega), h)
     dp = h + omega
@@ -147,7 +144,7 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     )
 
 
-def _maclaurin(table: ModeTable, col, tt, which: str):
+def _maclaurin(table: ModeTable, col, tt, kind: str):
     """Small-phase branch |omega*t| < SERIES_SWITCH; exact at t = 0.
 
     The series runs in y = sign*(omega*t)^2 (sinh(x)/x and cosh(x), or
@@ -158,40 +155,40 @@ def _maclaurin(table: ModeTable, col, tt, which: str):
     y = col(table.sign) * x * x
     sinc_s = 1.0 + y / 6.0 * (1.0 + y / 20.0 * (1.0 + y / 42.0))
     decay = np.exp(-h * tt)
-    if which == "H":
+    if kind == "green":
         return tt * decay * sinc_s
     cosh_s = 1.0 + y / 2.0 * (1.0 + y / 12.0 * (1.0 + y / 30.0))
-    if which == "Hdot":
+    if kind == "dt":
         return decay * (cosh_s - h * tt * sinc_s)
     eps = table.epsilon
     return decay * (eps * cosh_s + (table.c**2 - eps * h) * tt * sinc_s)
 
 
-def _oscillatory(table: ModeTable, col, tt, which: str):
+def _oscillatory(table: ModeTable, col, tt, kind: str):
     """sin-type branch; the phase x = omega*t is at least SERIES_SWITCH."""
     h = col(table.h)
     x = col(table.omega) * tt
     decay = np.exp(-h * tt)
     sinc_o = np.sin(x) / x
-    if which == "H":
+    if kind == "green":
         return decay * tt * sinc_o
     cos_o = np.cos(x)
-    if which == "Hdot":
+    if kind == "dt":
         return decay * (cos_o - h * tt * sinc_o)
     eps = table.epsilon
     return decay * (eps * cos_o + (table.c**2 - eps * h) * tt * sinc_o)
 
 
-def _overdamped(table: ModeTable, col, tt, which: str):
+def _overdamped(table: ModeTable, col, tt, kind: str):
     """Split into two exponentials whose exponents are non-positive."""
     dm = col(table.dm)
     dp = col(table.dp)
     two_om = 2.0 * col(table.omega)
     e_slow = np.exp(-dm * tt)
     e_fast = np.exp(-dp * tt)
-    if which == "H":
+    if kind == "green":
         return (e_slow - e_fast) / two_om
-    if which == "Hdot":
+    if kind == "dt":
         return (dp * e_fast - dm * e_slow) / two_om
     c2 = table.c**2
     # stable slow coefficient: c^2 - eps*dm = c^2*(a - dm)/(h + omega)
@@ -200,7 +197,7 @@ def _overdamped(table: ModeTable, col, tt, which: str):
     return (coef_slow * e_slow - coef_fast * e_fast) / two_om
 
 
-def _kernel_core(table: ModeTable, t, which: str):
+def _kernel_core(table: ModeTable, t, kind: str):
     """Evaluate H, H' or eps*H' + c^2*H for all table modes.
 
     ``t`` may be a scalar or a 1-D array of non-negative times (a negative,
@@ -215,8 +212,6 @@ def _kernel_core(table: ModeTable, t, which: str):
     elements it owns: it gets ``col``, which maps a per-mode table array to
     those elements, and their times ``tt``.
     """
-    if which not in ("H", "Hdot", "flux"):  # pragma: no cover
-        raise ValueError(f"unknown kernel kind {which!r}")
     tt = np.asarray(t, dtype=float)
     scalar_t = tt.ndim == 0
     tt = np.atleast_1d(tt)
@@ -230,10 +225,10 @@ def _kernel_core(table: ModeTable, t, which: str):
     out = np.empty(shape)
     for mask, branch in zip(masks, (_maclaurin, _oscillatory, _overdamped)):
         if mask.all():  # one branch for the whole table: broadcast, copy nothing
-            out[...] = branch(table, lambda v: v[:, None], tt[None, :], which)
+            out[...] = branch(table, lambda v: v[:, None], tt[None, :], kind)
         elif mask.any():
             out[mask] = branch(table, lambda v, m=mask: np.broadcast_to(v[:, None], shape)[m],
-                               np.broadcast_to(tt, shape)[mask], which)
+                               np.broadcast_to(tt, shape)[mask], kind)
     return out[:, 0] if scalar_t else out
 
 
@@ -242,12 +237,12 @@ def kernel_values(table: ModeTable, t):
 
     H_n(0) = 0 and H_n'(0) = 1 hold exactly in every regime.
     """
-    return _kernel_core(table, t, "H")
+    return _kernel_core(table, t, "green")
 
 
 def kernel_dt_values(table: ModeTable, t):
     """dH_n/dt for all modes of the table."""
-    return _kernel_core(table, t, "Hdot")
+    return _kernel_core(table, t, "dt")
 
 
 def flux_values(table: ModeTable, t):
@@ -300,66 +295,3 @@ def classify_modes(p: Params, k: float = 0.5) -> ModeClassification:
     else:
         nk = 1
     return ModeClassification(n1_star=n1_star, n2_star=n2_star, nk=nk, k=k)
-
-
-def decay_rate_p(p: Params) -> float:
-    """Uniform slow-decay rate: c^2/(eps + a*(l/pi)^2)."""
-    return p.c**2 / (p.epsilon + p.a * (p.l / math.pi) ** 2)
-
-
-def sigma_rate(p: Params) -> float:
-    """Quadratic-growth constant of h_n: h_n > sigma*n^2 with sigma = eps*(pi/l)^2/2."""
-    return 0.5 * p.epsilon * (math.pi / p.l) ** 2
-
-
-def term_bounds(table: ModeTable, p: Params, t: float, k: float = 0.5,
-                kind: str = "green") -> np.ndarray:
-    """Certified upper bounds on the kernel of every table mode at time t.
-
-    ``kind`` selects the kernel: "green" bounds |H_n(t)|, "dt" bounds
-    |H_n'(t)| and "flux" bounds |eps*H_n'(t) + c^2*H_n(t)|.  For H,
-    oscillatory modes use exp(-h*t)*min(t, 1/omega) and critical modes the
-    exact t*exp(-h*t); overdamped modes with (b/h)^2 <= k use the uniform
-    bound (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2, and near-critical
-    overdamped modes (where that chain is invalid) fall back to the direct
-    bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).  The H' and flux bounds
-    take the smaller of the two-exponential split and the envelope bound.
-    Raises ValueError unless 0 <= t < inf and 0 < k < 1.
-    """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be non-negative and finite, got {t}")
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"k must lie in (0, 1), got {k}")
-    rk = 1.0 / math.sqrt(1.0 - k)
-    sigma = sigma_rate(p)
-    rate_p = decay_rate_p(p)
-    c2 = p.c**2
-    h, om, n = table.h, table.omega, table.n
-    dm, dp = table.dm, table.dp
-    decay_h = np.exp(-h * t)
-    decay_dm = np.exp(-dm * t)
-    om_safe = np.where(om > 0, om, 1.0)
-    osc_amp = np.minimum(t, 1.0 / om_safe)        # |sin(om t)|/om <= min(t, 1/om)
-    eligible = table.over & ((table.b / h) ** 2 <= k)
-
-    if kind == "green":
-        out = np.where(table.osc, decay_h * osc_amp, t * decay_h)
-        direct = decay_dm * np.minimum(t, 0.5 / om_safe)
-        out = np.where(table.over, direct, out)
-        out = np.where(eligible, (rk / sigma) * math.exp(-rate_p * t) / n**2, out)
-        return out
-    if kind == "dt":
-        out = np.where(table.osc, decay_h * (1.0 + h * osc_amp), (1.0 + h * t) * decay_h)
-        split = (dp * np.exp(-dp * t) + dm * decay_dm) / (2.0 * om_safe)
-        fallback = (1.0 + h * t) * decay_dm
-        out = np.where(table.over, np.minimum(split, fallback), out)
-        return out
-    if kind == "flux":
-        amp = p.epsilon + np.abs(c2 - p.epsilon * h) * np.where(table.osc, osc_amp, t)
-        out = decay_h * amp
-        coef_slow = c2 * np.abs(p.a - dm) / dp
-        split = (coef_slow * decay_dm + np.abs(c2 - p.epsilon * dp) * np.exp(-dp * t)) / (2.0 * om_safe)
-        fallback = decay_dm * (p.epsilon + np.abs(c2 - p.epsilon * h) * t)
-        out = np.where(table.over, np.minimum(split, fallback), out)
-        return out
-    raise ValueError(f"unknown series kind {kind!r}")

@@ -13,7 +13,7 @@ from conftest import ALL_PARAM_SETS, P_EQ
 from helpers import mode_ode_residual, pde_residual_sup
 from strip_solver.asymptotics import algebraic_decay_check, decay_fit, default_window
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
-from strip_solver.green_kernel import decay_constants, green_eval, green_profile
+from strip_solver.green_kernel import decay_constants, green_profile
 from strip_solver.linear_solver import (
     GridSpec,
     LinearProblem,
@@ -73,11 +73,11 @@ def test_criterion_1_mode_ode():
 
 def test_criterion_2_green_invariants():
     start = time.perf_counter()
-    sym = abs(green_eval(P_EQ, 0.8, 1.7, 1.0, 1e-5)
-              - green_eval(P_EQ, 1.7, 0.8, 1.0, 1e-5))
-    bnd = max(abs(green_eval(P_EQ, 0.0, 1.0, 1.0, 1e-4)),
-              abs(green_eval(P_EQ, L, 1.0, 1.0, 1e-4)),
-              abs(green_eval(P_EQ, 1.0, 0.0, 1.0, 1e-4)))
+    sym = abs(green_profile(P_EQ, [0.8], 1.7, 1.0, tol=1e-5)[0]
+              - green_profile(P_EQ, [1.7], 0.8, 1.0, tol=1e-5)[0])
+    bnd = max(abs(green_profile(P_EQ, [0.0], 1.0, 1.0, tol=1e-4)[0]),
+              abs(green_profile(P_EQ, [L], 1.0, 1.0, tol=1e-4)[0]),
+              abs(green_profile(P_EQ, [1.0], 0.0, 1.0, tol=1e-4)[0]))
     xs = np.linspace(0.0, L, 22)[1:-1]
     ts = np.linspace(0.1, 5.0, 20)
     residual = pde_residual_sup(P_EQ, xs, ts, xi=1.1, dx=1e-3, dt=1e-4)

@@ -182,6 +182,13 @@ class TestInputErrors:
         self.assert_usage_error(run_cli("oracle", "--T", "0.2", "--nx", "15",
                                         "--t-out-every", "-0.1"))
 
+    @pytest.mark.parametrize("flag", ["--nt", "--nx"])
+    def test_green_empty_grid(self, run_cli, flag):
+        self.assert_usage_error(run_cli("green", flag, "0"))
+
+    def test_green_non_finite_tolerance(self, run_cli):
+        self.assert_usage_error(run_cli("green", "--nt", "2", "--nx", "5", "--tol", "nan"))
+
     def test_non_boolean_config_flag(self, tmp_path, run_cli):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("g1 = sin_1\nnx = 5\nnt = 3\nwith_dt = banana\n")

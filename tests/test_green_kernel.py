@@ -7,15 +7,14 @@ from conftest import ALL_PARAM_SETS, P_EQ, P_LESS
 from helpers import brute_green, pde_residual_sup
 from strip_solver.errors import TruncationError
 from strip_solver.green_kernel import (
+    KINDS,
     _sine_synthesis,
     decay_constants,
-    flux_eval,
-    green_dt_eval,
-    green_eval,
     green_profile,
     plan_truncation,
+    term_bounds,
 )
-from strip_solver.modes import Params, mode_table, term_bounds
+from strip_solver.modes import Params, mode_table
 
 # converged series value at x = xi = pi/2, t = 1 for eps = a = c = 1, l = pi:
 # (2/pi) * (5/4 * e^-1 - sum_{odd n >= 3} e^{-n^2}/(n^2 - 1)), the slow parts
@@ -57,10 +56,17 @@ class TestTruncationPlan:
         n, deep = plan.n_terms, 10 * plan.n_terms
         direct = np.sum(term_bounds(mode_table(p, deep), p, 1.0)[n:]) * 2.0 / p.l
         assert direct <= plan.tail_bound * (1.0 + 1e-9)
+        for kind in KINDS:
+            for t in (0.05, 0.5, 5.0):
+                plan = plan_truncation(p, t, 1e-3, kind=kind)
+                n = plan.n_terms
+                bounds = term_bounds(mode_table(p, 10 * n + 100), p, t, kind)
+                direct = np.sum(bounds[n:]) * 2.0 / p.l
+                assert direct <= plan.tail_bound * (1.0 + 1e-9), (kind, t)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(TruncationError):
-            plan_truncation(P_EQ, 1.0, 1e-10, n_cap=10**6)
+            plan_truncation(P_EQ, 1.0, 1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,36 +76,49 @@ class TestTruncationPlan:
         with pytest.raises(ValueError):
             plan_truncation(P_EQ, 1.0, 1e-4, kind="nope")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", ALL_PARAM_SETS)
+    def test_rejects_non_finite_time_and_tolerance(self, p, kind):
+        for bad in (math.nan, math.inf, -math.inf):
+            for t, tol in ((bad, 1e-5), (1.0, bad)):
+                with pytest.raises(ValueError):
+                    plan_truncation(p, t, tol, kind=kind)
+                with pytest.raises(ValueError):
+                    green_profile(p, [1.0], 1.0, t, kind=kind, tol=tol)
+                with pytest.raises(ValueError):
+                    green_profile(p, [1.0], 1.0, t, kind=kind, tol=tol, n_terms=8)
+
 
 class TestGreenEval:
     def test_boundary_exact(self):
         for x, xi in ((0.0, 1.0), (math.pi, 1.0), (1.0, 0.0), (1.0, math.pi)):
-            assert green_eval(P_EQ, x, xi, 1.0, 1e-4) == 0.0
-            assert flux_eval(P_EQ, x, xi, 1.0, 1e-4) == 0.0
+            assert green_profile(P_EQ, [x], xi, 1.0, tol=1e-4)[0] == 0.0
+            assert green_profile(P_EQ, [x], xi, 1.0, kind="flux", tol=1e-4)[0] == 0.0
 
     def test_symmetry(self):
-        a = green_eval(P_EQ, 0.8, 1.7, 1.0, 1e-5)
-        b = green_eval(P_EQ, 1.7, 0.8, 1.0, 1e-5)
+        a = green_profile(P_EQ, [0.8], 1.7, 1.0, tol=1e-5)[0]
+        b = green_profile(P_EQ, [1.7], 0.8, 1.0, tol=1e-5)[0]
         assert abs(a - b) < 1e-14
 
     def test_center_value_against_converged_series(self):
-        val = green_eval(P_EQ, math.pi / 2, math.pi / 2, 1.0, 1e-5)
+        val = green_profile(P_EQ, [math.pi / 2], math.pi / 2, 1.0, tol=1e-5)[0]
         assert val == pytest.approx(G_CENTER_T1, abs=1e-5)
 
     def test_against_independent_brute_sum(self):
         # brute partial sum carries its own ~(2/l) e^{-t}/n_terms tail
-        val = green_eval(P_EQ, 0.9, 1.1, 0.7, 1e-5)
+        val = green_profile(P_EQ, [0.9], 1.1, 0.7, tol=1e-5)[0]
         ref = brute_green(P_EQ, 0.9, 1.1, 0.7, n_terms=4000)
         assert val == pytest.approx(ref, abs=6e-5)
 
     def test_requires_positive_time(self):
         for t in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                green_eval(P_EQ, 1.0, 1.0, t)
+                green_profile(P_EQ, [1.0], 1.0, t)
             with pytest.raises(ValueError):
                 green_profile(P_EQ, [1.0], 1.0, t, n_terms=8)
-        with pytest.raises(ValueError):
-            green_eval(P_EQ, -0.5, 1.0, 1.0)
+        for x, xi in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                green_profile(P_EQ, [x], xi, 1.0)
 
 
 class TestDerivativeAndFlux:
@@ -107,26 +126,26 @@ class TestDerivativeAndFlux:
         n_terms = plan_truncation(P_EQ, 1.0, 1e-5).n_terms
         delta = 1e-4
         for (x, xi) in ((1.0, 1.3), (2.0, 0.7)):
-            plus = green_eval(P_EQ, x, xi, 1.0 + delta, n_terms=n_terms)
-            minus = green_eval(P_EQ, x, xi, 1.0 - delta, n_terms=n_terms)
-            dt_val = green_dt_eval(P_EQ, x, xi, 1.0, n_terms=n_terms)
+            plus = green_profile(P_EQ, [x], xi, 1.0 + delta, n_terms=n_terms)[0]
+            minus = green_profile(P_EQ, [x], xi, 1.0 - delta, n_terms=n_terms)[0]
+            dt_val = green_profile(P_EQ, [x], xi, 1.0, kind="dt", n_terms=n_terms)[0]
             assert (plus - minus) / (2 * delta) == pytest.approx(dt_val, abs=1e-6)
 
     def test_flux_is_combination_of_green_and_dt(self):
         p = P_LESS
         n_terms = plan_truncation(p, 0.8, 1e-6, kind="flux").n_terms
         x, xi, t = 1.2, 2.0, 0.8
-        combo = (p.epsilon * green_dt_eval(p, x, xi, t, n_terms=n_terms)
-                 + p.c**2 * green_eval(p, x, xi, t, n_terms=n_terms))
-        assert flux_eval(p, x, xi, t, n_terms=n_terms) == pytest.approx(combo, abs=1e-12)
+        g, g_t, flux = (green_profile(p, [x], xi, t, kind=kind, n_terms=n_terms)[0]
+                        for kind in KINDS)
+        assert flux == pytest.approx(p.epsilon * g_t + p.c**2 * g, abs=1e-12)
 
     def test_flux_against_brute_sum(self):
-        val = flux_eval(P_EQ, 0.9, 1.1, 0.7, 1e-7)
+        val = green_profile(P_EQ, [0.9], 1.1, 0.7, kind="flux", tol=1e-7)[0]
         ref = brute_green(P_EQ, 0.9, 1.1, 0.7, n_terms=200, kind="flux")
         assert val == pytest.approx(ref, abs=1e-9)
 
     def test_dt_against_brute_sum(self):
-        val = green_dt_eval(P_EQ, 0.9, 1.1, 0.7, 1e-4)
+        val = green_profile(P_EQ, [0.9], 1.1, 0.7, kind="dt", tol=1e-4)[0]
         ref = brute_green(P_EQ, 0.9, 1.1, 0.7, n_terms=4000, kind="dt")
         assert val == pytest.approx(ref, abs=2e-4)
 

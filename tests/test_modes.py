@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ALL_PARAM_SETS, P_EQ, P_GTR, P_LESS
 from helpers import mode_ode_residual
+from strip_solver.green_kernel import term_bounds
 from strip_solver.modes import (
     CRITICAL_REL_TOL,
     SERIES_SWITCH,
@@ -15,7 +16,6 @@ from strip_solver.modes import (
     kernel_dt_values,
     kernel_values,
     mode_table,
-    term_bounds,
 )
 
 
@@ -224,7 +224,7 @@ class TestTermBound:
 
     def test_dominates_single_value(self):
         table = mode_table(P_LESS, 3)
-        assert term_bounds(table, P_LESS, 1.0, 0.5)[2] >= abs(kernel_values(table, 1.0)[2])
+        assert term_bounds(table, P_LESS, 1.0)[2] >= abs(kernel_values(table, 1.0)[2])
 
     def test_oscillatory_bound_value(self):
         table = mode_table(P_GTR, 1)
@@ -242,11 +242,11 @@ class TestTermBound:
         # critical modes attain the bound exactly; allow rounding slack
         assert np.all(bounds * (1.0 + 1e-12) >= values)
 
-    def test_rejects_negative_time_and_bad_k(self):
+    def test_rejects_negative_time_and_bad_kind(self):
         table = mode_table(P_EQ, 3)
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 term_bounds(table, P_EQ, t)
-        for k in (1.0, 1.5, -0.5):
+        for kind in ("G", "nope"):
             with pytest.raises(ValueError):
-                term_bounds(table, P_EQ, 1.0, k)
+                term_bounds(table, P_EQ, 1.0, kind)
