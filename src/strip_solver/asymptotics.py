@@ -21,9 +21,12 @@ __all__ = [
     "algebraic_decay_check",
     "default_window",
     "MIN_SAMPLES",
+    "SLOPE_TOL",
 ]
 
 MIN_SAMPLES = 10
+# Largest log-log slope of sup_norm * t^alpha that still counts as bounded.
+SLOPE_TOL = 0.05
 _FLOOR = 1e-300
 
 
@@ -64,13 +67,12 @@ def decay_fit(ts, sup_norms, window: tuple | None = None) -> DecayFit:
                     max_residual=float(resid), window=(float(lo), float(hi)))
 
 
-def algebraic_decay_check(ts, sup_norms, alpha: float, *,
-                          slope_tol: float = 0.05) -> tuple:
+def algebraic_decay_check(ts, sup_norms, alpha: float) -> tuple:
     """Whether sup_norm(t) * t^alpha stays bounded on the tail t >= 1.
 
     Returns (bounded, sup_of_product).  Boundedness is judged from the
     log-log slope of the product over the later half of the tail: a slope
-    above ``slope_tol`` flags growth.  Requires coverage of t in [1, 50].
+    above ``SLOPE_TOL`` flags growth.  Requires coverage of t in [1, 50].
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -84,4 +86,4 @@ def algebraic_decay_check(ts, sup_norms, alpha: float, *,
     sup_product = float(np.max(product))
     late = t_tail >= np.sqrt(t_tail[0] * t_tail[-1])  # geometric midpoint
     slope = np.polyfit(np.log(t_tail[late]), np.log(product[late]), 1)[0]
-    return (bool(slope <= slope_tol), sup_product)
+    return (bool(slope <= SLOPE_TOL), sup_product)

@@ -20,6 +20,7 @@ definitions, so agreement between the two solvers is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,13 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .errors import StepFailureError
 from .fields import Field
 from .modes import Params
-from .sources import SourceTerm, ZeroSource, depends_on_u, evaluate_source
+from .sources import SourceTerm, depends_on_u, evaluate_source
 
-__all__ = ["OracleConfig", "OracleProblem", "oracle_solve", "convergence_study"]
+__all__ = ["OracleConfig", "OracleProblem", "StudyRecord", "oracle_solve", "convergence_study"]
+
+# Inner fixed-point iteration of a u-dependent source within one step.
+NONLINEAR_INNER_TOL = 1e-12
+MAX_INNER = 60
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,6 @@ class OracleConfig:
     nx: int = 127
     dt: float = 0.005
     theta: float = 0.5
-    nonlinear_inner_tol: float = 1e-12
-    max_inner: int = 60
 
     def __post_init__(self):
         if self.nx < 8:
@@ -50,8 +53,6 @@ class OracleConfig:
             raise ValueError("dt must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if not self.nonlinear_inner_tol > 0:
-            raise ValueError("nonlinear_inner_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,14 @@ def _sample(data, x: np.ndarray, name: str) -> np.ndarray:
 
 def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
                  cfg: OracleConfig = OracleConfig(),
-                 t_out=None, with_dt: bool = False) -> Field:
+                 t_out=None) -> Field:
     """Integrate the strip problem on a uniform grid with the theta scheme.
 
     ``t_out`` selects output times (defaults to every step); requested
-    times snap to the nearest step.  Identical inputs produce bit-identical
-    fields: the stepping is strictly sequential and single-threaded.
+    times must be finite and snap to the nearest step, those outside
+    [0, horizon] to the first or last one.  Identical inputs produce
+    bit-identical fields: the stepping is strictly sequential and
+    single-threaded.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -122,38 +125,30 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
         out_steps = np.arange(n_steps + 1)
     else:
         t_req = np.atleast_1d(np.asarray(t_out, dtype=float))
+        if not np.all(np.isfinite(t_req)):
+            raise ValueError("output times must be finite")
         out_steps = np.unique(np.clip(np.round(t_req / dt).astype(int), 0, n_steps))
     t_nodes = out_steps * dt
     values = np.zeros((nx + 2, out_steps.size))
-    values_dt = np.zeros((nx + 2, out_steps.size)) if with_dt else None
     out_map = {int(s): i for i, s in enumerate(out_steps)}
     nonlinear = depends_on_u(source)
-    zero_src = isinstance(source, ZeroSource)
 
-    def store(step, u_now, v_now):
+    def store(step, u_now):
         idx = out_map.get(step)
         if idx is not None:
             values[1:-1, idx] = u_now
-            if with_dt:
-                values_dt[1:-1, idx] = v_now
 
-    store(0, u, v)
+    store(0, u)
     t = 0.0
     for step in range(1, n_steps + 1):
         t_new = step * dt
-        if zero_src:
-            f_old = 0.0
-        else:
-            f_old = evaluate_source(source, x, t, u)
+        f_old = evaluate_source(source, x, t, u)
         d2u, d2v = d2(u), d2(v)
         explicit = v + (1.0 - theta) * dt * (eps * d2v + c2 * d2u - a * v - f_old)
         base_rhs = explicit + theta * dt * c2 * d2(u + dt * (1.0 - theta) * v)
         u_guess = u + dt * v
-        for inner in range(cfg.max_inner):
-            if zero_src:
-                f_new = 0.0
-            else:
-                f_new = evaluate_source(source, x, t_new, u_guess)
+        for _ in range(MAX_INNER):
+            f_new = evaluate_source(source, x, t_new, u_guess)
             rhs = base_rhs - theta * dt * f_new
             v_new = cho_solve_banded((chol, False), rhs)
             u_new = u + dt * (theta * v_new + (1.0 - theta) * v)
@@ -161,7 +156,7 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
                 break
             change = float(np.max(np.abs(u_new - u_guess)))
             u_guess = u_new
-            if change <= cfg.nonlinear_inner_tol:
+            if change <= NONLINEAR_INNER_TOL:
                 break
         else:
             raise StepFailureError(
@@ -169,24 +164,35 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
         if not np.all(np.isfinite(u_new)):
             raise StepFailureError(f"non-finite state at t = {t_new:.6g}", t=t_new)
         u, v, t = u_new, v_new, t_new
-        store(step, u, v)
-    return Field(x_nodes=x_full, t_nodes=t_nodes, values=values, values_dt=values_dt)
+        store(step, u)
+    return Field(x_nodes=x_full, t_nodes=t_nodes, values=values)
+
+
+@dataclass(frozen=True)
+class StudyRecord:
+    """One rung of a refinement study; ``order`` is nan on the first rung."""
+
+    nx: int
+    dt: float
+    sup_diff: float
+    order: float
 
 
 def convergence_study(problem: OracleProblem, refinements, reference) -> list:
-    """Errors against a reference solution for each grid refinement.
+    """Disagreement with a reference solution for each grid refinement.
 
-    ``reference`` is a callable u(x, t) evaluated on each run's own output
-    grid.  Returns records (dx, dt, sup_error); empirical orders between
-    consecutive refinements follow as log2(e_i/e_{i+1}) when both steps
-    halve.
+    ``refinements`` is a sequence of OracleConfig; ``reference(x_nodes,
+    t_nodes)`` returns the reference values on a run's own output grid, in
+    the shape of ``Field.values``.  The order between consecutive rungs is
+    log2(prev/diff), close to 2 when both steps halve.
     """
-    records = []
+    records, prev = [], None
     for cfg in refinements:
         fld = oracle_solve(problem.params, problem.g0, problem.g1,
                            problem.source, problem.horizon, cfg)
-        xg, tg = fld.x_nodes, fld.t_nodes
-        exact = np.asarray([[reference(xi, tj) for tj in tg] for xi in xg])
-        err = float(np.max(np.abs(fld.values - exact)))
-        records.append((fld.x_nodes[1] - fld.x_nodes[0], problem.horizon / (tg.size - 1), err))
+        exact = reference(fld.x_nodes, fld.t_nodes)
+        diff = float(np.max(np.abs(exact - fld.values)))
+        order = math.nan if prev is None else math.log2(prev / diff)
+        records.append(StudyRecord(cfg.nx, cfg.dt, diff, order))
+        prev = diff
     return records

@@ -48,7 +48,7 @@ from . import nonlinear_solver
 from .errors import AccuracyError
 from .fields import Field
 from .modes import ModeTable, Params, kernel_dt_values, kernel_values, mode_table, propagate_state
-from .spectrum import SineSpectrum, pad_modes
+from .spectrum import SineSpectrum, check_length, pad_modes
 
 __all__ = [
     "LinearProblem",
@@ -98,10 +98,7 @@ class LinearProblem:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        for name in ("g0", "g1"):
-            spec = getattr(self, name)
-            if abs(spec.l - self.params.l) > 1e-12 * self.params.l:
-                raise ValueError(f"{name} lives on length {spec.l}, params have {self.params.l}")
+        check_length(self.params.l, g0=self.g0, g1=self.g1)
         if self.f is not None and not callable(self.f):
             raise ValueError("f must be None or a callable t -> SineSpectrum")
 
@@ -202,15 +199,14 @@ def _forced(f, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
         f"(last step-halving estimate {estimate:.3g})", estimate=estimate)
 
 
-def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig(),
-                    n_modes: int | None = None,
-                    table: ModeTable | None = None) -> SineSpectrum:
-    """Source component u_f(., t): per-mode convolution of f_n with H_n."""
+def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig()) -> SineSpectrum:
+    """Source component u_f(., t): per-mode convolution of f_n with H_n.
+
+    The mode count is that of f(0).
+    """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    if n_modes is None:
-        n_modes = np.asarray(f(0.0).coeffs).size
-    table = table or mode_table(p, n_modes)
+    table = mode_table(p, np.asarray(f(0.0).coeffs).size)
     coeffs, _ = _forced(f, table, np.array([float(t)]), quad, with_dt=False)
     return SineSpectrum(l=p.l, coeffs=coeffs[:, 0])
 

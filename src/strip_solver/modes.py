@@ -78,7 +78,8 @@ class ModeClassification:
     ``n1_star``: largest index strictly below the lower band edge,
     ``n2_star``: smallest index strictly above the upper band edge,
     ``nk``: smallest index from which every mode satisfies
-    (b_n/h_n)^2 <= k, the validity threshold of the 1/n^2 kernel bound.
+    (b_n/h_n)^2 <= k (the k given to ``classify_modes``), the validity
+    threshold of the 1/n^2 kernel bound.
     When c^2 <= a*eps there is no oscillatory band and the sentinel
     (n1_star, n2_star) = (0, 1) is returned.
     """
@@ -86,7 +87,6 @@ class ModeClassification:
     n1_star: int
     n2_star: int
     nk: int
-    k: float
 
 
 @dataclass(frozen=True)
@@ -294,4 +294,4 @@ def classify_modes(p: Params, k: float = 0.5) -> ModeClassification:
         nk = max(1, math.floor(fk) + 1)
     else:
         nk = 1
-    return ModeClassification(n1_star=n1_star, n2_star=n2_star, nk=nk, k=k)
+    return ModeClassification(n1_star=n1_star, n2_star=n2_star, nk=nk)

@@ -50,7 +50,7 @@ from .sources import (
     depends_on_u,
     evaluate_source,
 )
-from .spectrum import SineSpectrum, analyze, constant_coefficients, pad_modes
+from .spectrum import SineSpectrum, analyze, check_length, constant_coefficients, pad_modes
 
 __all__ = [
     "PicardConfig",
@@ -104,27 +104,19 @@ class NonlinearProblem:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        check_length(self.params.l, g0=self.g0, g1=self.g1)
         if not isinstance(self.source, SourceTerm):
             raise ValueError("source must be a SourceTerm")
 
 
-def _gregory_row(j: int) -> np.ndarray:
-    """Quadrature weights for int_0^{j*dt} on nodes 0..j (unit spacing)."""
-    if j == 0:
-        return np.zeros(1)
-    if j == 1:
-        return np.array([0.5, 0.5])
-    if j == 2:
-        return np.array([1.0, 4.0, 1.0]) / 3.0
-    if j == 3:
-        return np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    if j == 4:
-        return np.array([14.0, 64.0, 24.0, 64.0, 14.0]) / 45.0
-    w = np.ones(j + 1)
-    w[[0, -1]] = 3.0 / 8.0
-    w[[1, -2]] = 7.0 / 6.0
-    w[[2, -3]] = 23.0 / 24.0
-    return w
+# Exact Newton-Cotes weights for the short rows j = 1..4 of int_0^{j*dt} on
+# nodes 0..j (unit spacing): trapezoid, Simpson, 3/8 and Boole.
+_NEWTON_COTES = (
+    np.array([0.5, 0.5]),
+    np.array([1.0, 4.0, 1.0]) / 3.0,
+    np.array([3.0, 9.0, 9.0, 3.0]) / 8.0,
+    np.array([14.0, 64.0, 24.0, 64.0, 14.0]) / 45.0,
+)
 
 
 def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
@@ -152,8 +144,7 @@ def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
             corr += d * (f[:, [i]] * kern[:, 5 - i:nt - i] + f[:, 5 - i:nt - i] * kern[:, [i]])
         out[:, sl] = base[:, sl] + corr
     for j in range(1, min(5, nt)):
-        w = _gregory_row(j)
-        out[:, j] = (f[:, :j + 1] * kern[:, j::-1]) @ w
+        out[:, j] = (f[:, :j + 1] * kern[:, j::-1]) @ _NEWTON_COTES[j - 1]
     return out * dt
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "second_derivative",
     "constant_coefficients",
     "pad_modes",
+    "check_length",
     "BOUNDARY_WARN_TOL",
 ]
 
@@ -66,6 +67,13 @@ class SineSpectrum:
 
     def gammas(self) -> np.ndarray:
         return np.arange(1, self.n_modes + 1) * (math.pi / self.l)
+
+
+def check_length(l: float, **spectra: SineSpectrum) -> None:
+    """Raise ValueError unless every named spectrum lives on length ``l``."""
+    for name, spec in spectra.items():
+        if abs(spec.l - l) > 1e-12 * l:
+            raise ValueError(f"{name} lives on length {spec.l}, params have {l}")
 
 
 @dataclass(frozen=True)

@@ -2,26 +2,34 @@
 
 The linear corpus holds four problems whose spectral solutions are exact
 (band-limited data, analytically integrable sources).  ``verify_linear``
-solves each with the finite-difference oracle at a ladder of refinements
-and reports the sup-norm disagreement and the empirical convergence order
-between consecutive refinements (expected close to 2 when both steps
-halve).
+runs each through the oracle's refinement study
+(``fd_oracle.convergence_study``) with the spectral solution on the
+oracle's grid as the reference, and reports the sup-norm disagreement and
+the empirical convergence order between consecutive refinements (expected
+close to 2 when both steps halve).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .fd_oracle import OracleConfig, oracle_solve
+from .fd_oracle import OracleConfig, OracleProblem, StudyRecord, convergence_study
 from .linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 from .modes import Params
 from .sources import LinearSource, ZeroSource
-from .spectrum import SineSpectrum
+from .spectrum import SineSpectrum, synthesize
 
 __all__ = ["CorpusProblem", "linear_corpus", "verify_linear", "VerifyRecord"]
+
+# The oracle grids of the study, each halving both steps of the previous one.
+REFINEMENTS = (OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02),
+               OracleConfig(nx=127, dt=0.01))
+# Source-convolution accuracy of the spectral reference.
+QUAD = QuadConfig(tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -29,9 +37,7 @@ class CorpusProblem:
     name: str
     g0: SineSpectrum
     g1: SineSpectrum
-    f_spectral: object            # None or t -> SineSpectrum
-    source: object                # SourceTerm for the oracle
-    horizon: float
+    f: object                     # None or t -> SineSpectrum
 
 
 def _mode_spectrum(l, n, amplitude=1.0, size=4):
@@ -40,7 +46,7 @@ def _mode_spectrum(l, n, amplitude=1.0, size=4):
     return SineSpectrum(l=l, coeffs=coeffs)
 
 
-def linear_corpus(p: Params, horizon: float = 2.0) -> list:
+def linear_corpus(p: Params) -> list:
     """Four linear problems with band-limited data and sources."""
     l = p.l
     zero = SineSpectrum(l=l, coeffs=np.zeros(4))
@@ -56,49 +62,32 @@ def linear_corpus(p: Params, horizon: float = 2.0) -> list:
         return SineSpectrum(l=l, coeffs=decaying.coeffs * math.exp(-0.5 * t))
 
     return [
-        CorpusProblem("velocity_mode1", zero, _mode_spectrum(l, 1), None,
-                      ZeroSource(), horizon),
-        CorpusProblem("displacement_mode1", _mode_spectrum(l, 1), zero, None,
-                      ZeroSource(), horizon),
-        CorpusProblem("forced_constant", zero, zero, f_const,
-                      LinearSource(f_const), horizon),
-        CorpusProblem("mixed_decaying_source", mix_g0, mix_g1, f_decay,
-                      LinearSource(f_decay), horizon),
+        CorpusProblem("velocity_mode1", zero, _mode_spectrum(l, 1), None),
+        CorpusProblem("displacement_mode1", _mode_spectrum(l, 1), zero, None),
+        CorpusProblem("forced_constant", zero, zero, f_const),
+        CorpusProblem("mixed_decaying_source", mix_g0, mix_g1, f_decay),
     ]
 
 
 @dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(StudyRecord):
     problem: str
-    nx: int
-    dt: float
-    sup_diff: float
-    order: float          # nan for the first refinement of a problem
 
 
-def verify_linear(p: Params, refinements=((31, 0.04), (63, 0.02), (127, 0.01)),
-                  horizon: float = 2.0, quad_tol: float = 1e-11) -> list:
-    """Spectral-vs-oracle disagreement across a refinement ladder."""
+def verify_linear(p: Params, horizon: float = 2.0) -> list:
+    """Spectral-vs-oracle disagreement of the corpus across REFINEMENTS."""
     records = []
-    quad = QuadConfig(tol=quad_tol)
-    for prob in linear_corpus(p, horizon):
-        spectral_prob = LinearProblem(params=p, g0=prob.g0, g1=prob.g1,
-                                      f=prob.f_spectral, horizon=horizon)
-        prev = None
-        for nx, dt in refinements:
-            cfg = OracleConfig(nx=nx, dt=dt)
-            fld = oracle_solve(p, _synth_callable(prob.g0), _synth_callable(prob.g1),
-                               prob.source, horizon, cfg)
-            grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
-            exact = solve_linear(spectral_prob, grid, quad=quad)
-            diff = float(np.max(np.abs(exact.values - fld.values)))
-            order = math.nan if prev is None else math.log2(prev / diff)
-            records.append(VerifyRecord(prob.name, nx, dt, diff, order))
-            prev = diff
+    for prob in linear_corpus(p):
+        spectral = LinearProblem(params=p, g0=prob.g0, g1=prob.g1, f=prob.f,
+                                 horizon=horizon)
+        source = ZeroSource() if prob.f is None else LinearSource(prob.f)
+        oracle = OracleProblem(p, partial(synthesize, prob.g0),
+                               partial(synthesize, prob.g1), source, horizon)
+
+        def reference(x_nodes, t_nodes, spectral=spectral):
+            grid = GridSpec(x_nodes=x_nodes, t_nodes=t_nodes)
+            return solve_linear(spectral, grid, quad=QUAD).values
+
+        records += [VerifyRecord(**vars(rec), problem=prob.name)
+                    for rec in convergence_study(oracle, REFINEMENTS, reference)]
     return records
-
-
-def _synth_callable(spec: SineSpectrum):
-    from .spectrum import synthesize
-
-    return lambda x: synthesize(spec, x)

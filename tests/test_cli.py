@@ -1,5 +1,6 @@
 import collections
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -265,14 +266,38 @@ class TestOptionTable:
         assert (oracle["nx"], float(oracle["dt"]), float(oracle["theta"])) == ("127", 0.005, 0.5)
 
 
+def _child_env(**extra):
+    # pytest's pythonpath setting does not reach child interpreters
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, **extra, PYTHONPATH=path)
+
+
 def test_python_dash_m_matches_in_process(run_cli):
     # the one test through a fresh interpreter: entry point, exit code, stdout
     argv = ["modes", "--n", "3", "--k", "0.3"]
     proc = subprocess.run([sys.executable, "-m", "strip_solver", *argv],
-                          capture_output=True, text=True, timeout=240)
+                          capture_output=True, text=True, timeout=240, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(*argv).stdout
     proc = subprocess.run([sys.executable, "-m", "strip_solver", "modes", "--nope"],
-                          capture_output=True, text=True, timeout=240)
+                          capture_output=True, text=True, timeout=240, env=_child_env())
     assert proc.returncode == 1
     assert "usage error" in proc.stderr
+
+
+def test_thread_cap_fills_unset_variables_before_numpy_loads():
+    script = (
+        "import os, sys\n"
+        "from strip_solver import cli\n"
+        "print('numpy' in sys.modules)\n"
+        "cli._cap_threads()\n"
+        "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'],"
+        " os.environ['MKL_NUM_THREADS'])\n"
+    )
+    env = _child_env(STRIP_SOLVER_THREADS="2", OPENBLAS_NUM_THREADS="3")
+    env.pop("OMP_NUM_THREADS", None)
+    env.pop("MKL_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=240, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "2", "3", "2"]

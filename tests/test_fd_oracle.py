@@ -27,10 +27,10 @@ class TestOracleSolve:
         refinements = [OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02),
                        OracleConfig(nx=127, dt=0.01)]
         records = convergence_study(problem, refinements,
-                                    lambda x, t: t * math.exp(-t) * math.sin(x))
-        errs = [rec[2] for rec in records]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        assert min(orders) > 1.9
+                                    lambda x, t: np.outer(np.sin(x), t * np.exp(-t)))
+        assert [(rec.nx, rec.dt) for rec in records] == [(31, 0.04), (63, 0.02), (127, 0.01)]
+        assert math.isnan(records[0].order)
+        assert min(rec.order for rec in records[1:]) > 1.9
 
     def test_steady_state_under_constant_source(self):
         f = LinearSource(lambda t: SineSpectrum(l=L, coeffs=np.array([1.0])))
@@ -69,12 +69,24 @@ class TestOracleSolve:
                             ZeroSource(), 1.0, OracleConfig(nx=255, dt=0.005))
 
         def reference(xq, tq):
-            ix = int(round(xq / (fine.x_nodes[1] - fine.x_nodes[0])))
-            jt = int(round(tq / (fine.t_nodes[1] - fine.t_nodes[0])))
-            return fine.values[ix, jt]
+            ix = np.round(xq / (fine.x_nodes[1] - fine.x_nodes[0])).astype(int)
+            jt = np.round(tq / (fine.t_nodes[1] - fine.t_nodes[0])).astype(int)
+            return fine.values[np.ix_(ix, jt)]
 
         records = convergence_study(problem, refinements, reference)
-        assert all(np.isfinite(rec[2]) for rec in records)
+        assert all(np.isfinite(rec.sup_diff) for rec in records)
+        assert np.isfinite(records[1].order)
+
+    def test_rejects_non_finite_output_times(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                oracle_solve(P_EQ, zeros, zeros, ZeroSource(), 1.0,
+                             OracleConfig(nx=31, dt=0.05), t_out=[0.5, bad])
+
+    def test_finite_output_times_snap_into_range(self):
+        fld = oracle_solve(P_EQ, zeros, lambda x: np.sin(x), ZeroSource(), 1.0,
+                           OracleConfig(nx=31, dt=0.05), t_out=[-3.0, 0.52, 7.0])
+        assert np.allclose(fld.t_nodes, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-12)
 
     def test_rejects_incompatible_dirichlet_data(self):
         with pytest.raises(ValueError):

@@ -225,6 +225,13 @@ class TestPicardSolve:
         with pytest.raises(NumericalError):
             picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8))
 
+    def test_rejects_mismatched_length(self):
+        bad = SineSpectrum(l=2.0, coeffs=np.array([0.1]))
+        for g0, g1 in ((bad, spec([0.0])), (spec([0.1]), bad)):
+            with pytest.raises(ValueError, match="length"):
+                NonlinearProblem(params=P_EQ, g0=g0, g1=g1,
+                                 source=SineGordonSource(bias=0.0), horizon=1.0)
+
     def test_apriori_bound_holds(self):
         prob = self.small_problem(SineGordonSource(bias=0.5), T=20.0)
         cfg = PicardConfig(tol=1e-8, nx=65, dt=0.01, n_modes=32, window=10.0)
