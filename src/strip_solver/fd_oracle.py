@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import StepFailureError
 from .fields import Field
@@ -36,6 +36,22 @@ __all__ = ["OracleConfig", "OracleProblem", "StudyRecord", "oracle_solve", "conv
 # Inner fixed-point iteration of a u-dependent source within one step.
 NONLINEAR_INNER_TOL = 1e-12
 MAX_INNER = 60
+
+_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
+
+
+def cho_solve_banded(cb_and_lower, b):
+    """Solve A x = b from the banded Cholesky factor ``cb`` of A (LAPACK pbtrs).
+
+    The call ``scipy.linalg.cho_solve_banded`` makes, without its argument
+    checks: the factor comes from ``cholesky_banded`` (which checks it) and
+    ``oracle_solve`` checks every right-hand side before the solve.
+    """
+    cb, lower = cb_and_lower
+    x, info = _PBTRS(cb, b, lower=lower)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded Cholesky solve failed (pbtrs info = {info})")
+    return x
 
 
 @dataclass(frozen=True)
@@ -150,18 +166,21 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
         for _ in range(MAX_INNER):
             f_new = evaluate_source(source, x, t_new, u_guess)
             rhs = base_rhs - theta * dt * f_new
+            if not np.isfinite(rhs).all():
+                raise StepFailureError(
+                    f"non-finite right-hand side in the step to t = {t_new:.6g}", t=t_new)
             v_new = cho_solve_banded((chol, False), rhs)
             u_new = u + dt * (theta * v_new + (1.0 - theta) * v)
             if not nonlinear:
                 break
-            change = float(np.max(np.abs(u_new - u_guess)))
+            change = float(np.abs(u_new - u_guess).max())
             u_guess = u_new
             if change <= NONLINEAR_INNER_TOL:
                 break
         else:
             raise StepFailureError(
                 f"inner iteration did not converge at t = {t_new:.6g}", t=t_new)
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise StepFailureError(f"non-finite state at t = {t_new:.6g}", t=t_new)
         u, v, t = u_new, v_new, t_new
         store(step, u)

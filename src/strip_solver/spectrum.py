@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
-from scipy.integrate import simpson
 
 __all__ = [
     "SineSpectrum",
@@ -156,6 +155,8 @@ def analyze(g, n_modes: int = 64, *, l: float | None = None,
     if np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         coeffs = _dst_coefficients(values[1:-1], m)[:n_modes]
     else:
+        from scipy.integrate import simpson  # loaded only for non-uniform nodes
+
         gammas = np.arange(1, n_modes + 1) * (math.pi / length)
         integrand = values[None, :] * np.sin(gammas[:, None] * nodes[None, :])
         coeffs = (2.0 / length) * simpson(integrand, x=nodes, axis=1)

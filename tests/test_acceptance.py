@@ -190,8 +190,8 @@ def test_criterion_7_sine_gordon():
         cfg = PicardConfig(tol=1e-8, max_iter=50, nx=129, dt=0.01,
                            n_modes=64, window=10.0)
         fld, rep = picard_solve(prob, cfg)
-        max_window_iters = max(w["iterations"] for w in rep.window_traces)
-        ok &= rep.converged and max_window_iters < 50
+        max_block_sweeps = max(w["iterations"] for w in rep.window_traces)
+        ok &= rep.converged and max_block_sweeps < 50
 
         coarse = oracle_solve(P_EQ, lambda x: 0.1 * np.sin(x),
                               lambda x: np.zeros_like(x), SineGordonSource(bias),
@@ -211,7 +211,7 @@ def test_criterion_7_sine_gordon():
                                     t_nodes=np.linspace(0.0, 100.0, 51)))
         bound = sine_gordon_apriori_bound(prob, float(np.max(np.abs(lin.values))))
         ok &= sup_u < bound
-        details.append(f"bias={bias}: iters/window<={max_window_iters}, "
+        details.append(f"bias={bias}: sweeps/block<={max_block_sweeps}, "
                        f"|pic-oracle|={diff:.2e} vs {2*oracle_err:.2e}, "
                        f"sup|u|={sup_u:.3f} < bound {bound:.2f}")
     elapsed = time.perf_counter() - start

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import import_module
 
 import pytest
@@ -16,3 +20,21 @@ def test_every_submodule_export_resolves(module):
     mod = import_module(f"strip_solver.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
+    # scipy.signal and scipy.integrate cost most of a cold start; the solvers
+    # use neither on their import path
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from strip_solver import fd_oracle, green_kernel, linear_solver, nonlinear_solver,"
+        " verification\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'integrate'])))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=240, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -121,3 +121,38 @@ class TestStepFailure:
             oracle_solve(P_EQ, lambda x: 1e-3 * np.sin(x), zeros, runaway, 1.0,
                          OracleConfig(nx=31, dt=0.05))
         assert info.value.t is not None
+
+    @pytest.mark.parametrize("t_bad", [0.0, 0.6])
+    def test_non_finite_source_raises_step_failure(self, t_bad):
+        # NaN from the first step, and first seen at t > 0.5
+        from strip_solver.errors import StepFailureError
+        from strip_solver.sources import CustomSource
+
+        bad = CustomSource(fn=lambda x, t, u: np.full_like(x, math.nan if t >= t_bad else 0.0))
+        with pytest.raises(StepFailureError) as info:
+            oracle_solve(P_EQ, lambda x: 0.1 * np.sin(x), zeros, bad, 1.0,
+                         OracleConfig(nx=31, dt=0.05))
+        assert info.value.t == pytest.approx(max(t_bad, 0.05))
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("nx", [8, 63, 127])
+    def test_lean_solve_equals_scipy(self, nx, monkeypatch):
+        from scipy.linalg import cho_solve_banded
+
+        from strip_solver import fd_oracle
+
+        factors = []
+        lean = fd_oracle.cho_solve_banded
+
+        def spy(cb_and_lower, b):
+            factors.append(cb_and_lower)
+            return lean(cb_and_lower, b)
+
+        monkeypatch.setattr(fd_oracle, "cho_solve_banded", spy)
+        oracle_solve(P_EQ, zeros, lambda x: np.sin(x), ZeroSource(), 0.1,
+                     OracleConfig(nx=nx, dt=0.05))
+        rng = np.random.default_rng(nx)
+        for _ in range(3):
+            rhs = rng.standard_normal(nx)
+            assert np.array_equal(lean(factors[0], rhs), cho_solve_banded(factors[0], rhs))

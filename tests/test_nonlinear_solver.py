@@ -8,6 +8,7 @@ from helpers import sine_gordon_sweep
 from strip_solver import nonlinear_solver
 from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
+from strip_solver.fields import Field
 from strip_solver.linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 from strip_solver.nonlinear_solver import (
     NonlinearProblem,
@@ -31,6 +32,27 @@ L = math.pi
 
 def spec(coeffs):
     return SineSpectrum(l=L, coeffs=np.asarray(coeffs, dtype=float))
+
+
+def iterated_sweep(prob, grid_like, n_modes, tol, diffs=None, max_sweeps=100):
+    """Whole-grid Picard sweeps of the sine source from the linear part.
+
+    Runs ``sine_gordon_sweep`` on the grid of ``grid_like`` (one window from
+    t = 0) until the sup-norm change is <= tol; the changes go to ``diffs``.
+    """
+    grid = GridSpec(x_nodes=grid_like.x_nodes, t_nodes=grid_like.t_nodes)
+    lin = solve_linear(LinearProblem(prob.params, prob.g0, prob.g1, None, prob.horizon), grid)
+    u = lin
+    for _ in range(max_sweeps):
+        nxt = Field(x_nodes=u.x_nodes, t_nodes=u.t_nodes,
+                    values=sine_gordon_sweep(prob.params, lin, u, prob.source.bias, n_modes))
+        diff = float(np.max(np.abs(nxt.values - u.values)))
+        if diffs is not None:
+            diffs.append(diff)
+        u = nxt
+        if diff <= tol:
+            return u
+    raise AssertionError(f"sweeps stalled at {diff:.3g} > {tol:.3g}")
 
 
 class TestVolterraConvolve:
@@ -106,30 +128,39 @@ class TestPicardSolve:
                                  grid, QuadConfig(tol=1e-11))
         assert np.max(np.abs(fld.values - reference.values)) < 1e-5
 
-    def test_window_bisection_converges_on_halved_windows(self):
-        # 7 sweeps reach 1e-10 on a window of 1.25 but not on 5 or 2.5
+    def test_window_converges_without_bisection(self):
+        # at most 8 sweeps per block reach 1e-10 on one window of 5; no
+        # window is split
         prob = self.small_problem(SineGordonSource(bias=0.3))
-        cfg = dict(tol=1e-10, max_iter=8, nx=33, dt=0.05, n_modes=8)
-        fld, rep = picard_solve(prob, PicardConfig(window=5.0, **cfg))
+        _, rep = picard_solve(prob, PicardConfig(tol=1e-10, max_iter=8, nx=33, dt=0.05,
+                                                 n_modes=8, window=5.0))
         assert rep.converged
-        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [
-            (0.0, 1.25), (1.25, 2.5), (2.5, 3.75), (3.75, 5.0)]
-        direct, _ = picard_solve(prob, PicardConfig(window=1.25, **cfg))
-        assert np.array_equal(fld.t_nodes, direct.t_nodes)
-        assert np.array_equal(fld.values, direct.values)
+        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 5.0)]
+        assert rep.window_traces[0]["iterations"] <= 8
+        assert rep.residuals[0] <= 1e-10
 
-    def test_window_bisection_stops_at_the_step_floor(self):
-        # 3 sweeps never reach 1e-10: windows shrink to 8 steps of dt = 0.05
-        # and are accepted unconverged; the last one is the remainder
+    def test_window_short_of_sweeps_is_reported_unsplit(self):
+        # 3 sweeps per block fall short of 1e-10: the window of 5 is kept
+        # whole and reported unconverged with its certificate
         prob = self.small_problem(SineGordonSource(bias=0.3))
         _, rep = picard_solve(prob, PicardConfig(tol=1e-10, max_iter=3, nx=33, dt=0.05,
                                                  n_modes=8, window=5.0))
         assert not rep.converged
-        spans = [w["t_end"] - w["t_start"] for w in rep.window_traces]
-        assert len(spans) == 13
-        assert spans[:-1] == pytest.approx([0.4] * 12, abs=1e-12)
-        assert spans[-1] == pytest.approx(0.2, abs=1e-12)
-        assert not any(w["converged"] for w in rep.window_traces)
+        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 5.0)]
+        assert rep.window_traces[0]["iterations"] == 3
+        assert not rep.window_traces[0]["converged"]
+        assert 1e-10 < rep.residuals[0] < 1e-4
+
+    @pytest.mark.parametrize("steps", [2, 33, 34, 64, 65, 97])
+    def test_march_matches_iterated_sweep_at_block_edges(self, steps):
+        # step counts around the block boundaries: a first block alone, one
+        # later block of 1 or 2 steps, and a short last block
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=steps * 0.05)
+        fld, rep = picard_solve(prob, PicardConfig(tol=1e-13, nx=33, dt=0.05, n_modes=8,
+                                                   window=10.0))
+        assert rep.converged and fld.t_nodes.size == steps + 1
+        fixed = iterated_sweep(prob, fld, n_modes=8, tol=1e-13)
+        assert np.max(np.abs(fld.values - fixed.values)) <= 1e-12
 
     def test_kernels_built_once_per_window_length(self, monkeypatch):
         calls = []
@@ -152,18 +183,36 @@ class TestPicardSolve:
         cfg = PicardConfig(tol=1e-8, nx=65, dt=0.01, n_modes=16, window=5.0)
         fld, rep = picard_solve(prob, cfg)
         assert rep.converged
-        assert len(rep.residuals) == rep.iterations
-        assert rep.residuals[-1] <= cfg.tol
+        assert len(rep.residuals) == len(rep.window_traces)
+        assert max(rep.residuals) <= cfg.tol
+        assert [w["residual"] for w in rep.window_traces] == rep.residuals
+        assert set(rep.window_traces[0]) == {"t_start", "t_end", "iterations", "residual",
+                                             "converged"}
+        assert rep.iterations >= sum(w["iterations"] for w in rep.window_traces)
         assert np.all(np.isfinite(fld.values))
 
     def test_contraction_monotone_after_first_sweep(self):
+        # the sweep behind the per-window certificate contracts: iterated
+        # from the linear part, its sup-norm changes fall monotonically
         prob = self.small_problem(SineGordonSource(bias=0.3))
-        _, rep = picard_solve(prob, PicardConfig(tol=1e-10, nx=65, dt=0.01,
-                                                 n_modes=16, window=5.0))
-        diffs = np.array(rep.residuals[1:])
+        fld, rep = picard_solve(prob, PicardConfig(tol=1e-10, nx=65, dt=0.01,
+                                                   n_modes=16, window=5.0))
+        assert rep.converged
+        diffs = []
+        iterated_sweep(prob, fld, n_modes=16, tol=1e-10, diffs=diffs)
+        diffs = np.array(diffs[1:])
         assert np.all(np.diff(diffs) < 0.0)
         ratios = diffs[1:] / diffs[:-1]
         assert np.max(ratios) < 1.0
+
+    def test_march_matches_iterated_sweep_on_a_c7_window(self):
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                source=SineGordonSource(bias=0.45), horizon=10.0)
+        fld, rep = picard_solve(prob, PicardConfig(tol=1e-13, nx=129, dt=0.01, n_modes=64,
+                                                   window=10.0))
+        assert rep.converged and len(rep.window_traces) == 1
+        fixed = iterated_sweep(prob, fld, n_modes=64, tol=1e-13)
+        assert np.max(np.abs(fld.values - fixed.values)) <= 1e-12
 
     def test_fixed_point_residual(self):
         tol = 1e-9
