@@ -8,10 +8,16 @@ Method of lines for L u = F written as the first-order system
 with D2 the standard second difference carrying homogeneous Dirichlet
 rows.  A theta-weighted one-step scheme advances (u, v); eliminating
 u^{m+1} leaves one symmetric positive-definite tridiagonal solve per step
-whose Cholesky factor is computed once for a fixed step size.  The scheme
-is second-order accurate in space, and in time at theta = 1/2, where it is
-also unconditionally stable for the linear problem.  Nonlinear sources are
-handled by fixed-point inner iteration within each step.
+whose Cholesky factor is computed once for a fixed step size.  The
+explicit half of that solve's right-hand side is linear in (u, v),
+
+    alpha*v + D2(beta*u + gamma*v) - (1 - theta)*dt*F_old,
+
+so each step applies the stencil once, with coefficients folded once per
+solve.  The scheme is second-order accurate in space, and in time at
+theta = 1/2, where it is also unconditionally stable for the linear
+problem.  Nonlinear sources are handled by fixed-point inner iteration
+within each step.
 
 This module deliberately shares no numerical kernels with the spectral
 modules: it imports only the parameter container and the source-term
@@ -21,6 +27,7 @@ definitions, so agreement between the two solvers is meaningful evidence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +70,8 @@ class OracleConfig:
     theta: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.nx, numbers.Integral):
+            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 8:
             raise ValueError(f"need at least 8 interior nodes, got {self.nx}")
         if not self.dt > 0:
@@ -105,8 +114,8 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     bit-identical fields: the stepping is strictly sequential and
     single-threaded.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     nx = cfg.nx
     x_full = np.linspace(0.0, p.l, nx + 2)
     x = x_full[1:-1]
@@ -122,12 +131,6 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     theta = cfg.theta
     eps, c2, a = p.epsilon, p.c**2, p.a
 
-    def d2(w):
-        out = -2.0 * w
-        out[:-1] += w[1:]
-        out[1:] += w[:-1]
-        return out / dx**2
-
     # LHS of the eliminated v-equation: (1 + a*theta*dt) I - theta*dt*(eps + theta*dt*c^2) D2
     kappa = theta * dt * (eps + theta * dt * c2)
     diag = np.full(nx, 1.0 + a * theta * dt + 2.0 * kappa / dx**2)
@@ -136,6 +139,13 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     ab[0, 1:] = off
     ab[1, :] = diag
     chol = cholesky_banded(ab, lower=False)
+
+    # Its RHS: alpha*v + D2(beta*u + gamma*v) - w_old*F_old - w_new*F_new,
+    # with 1/dx^2 folded into beta and gamma
+    w_old, w_new = (1.0 - theta) * dt, theta * dt
+    alpha = 1.0 - w_old * a
+    beta = dt * c2 / dx**2
+    gamma = w_old * (eps + theta * dt * c2) / dx**2
 
     if t_out is None:
         out_steps = np.arange(n_steps + 1)
@@ -159,18 +169,20 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     for step in range(1, n_steps + 1):
         t_new = step * dt
         f_old = evaluate_source(source, x, t, u)
-        d2u, d2v = d2(u), d2(v)
-        explicit = v + (1.0 - theta) * dt * (eps * d2v + c2 * d2u - a * v - f_old)
-        base_rhs = explicit + theta * dt * c2 * d2(u + dt * (1.0 - theta) * v)
+        w = beta * u + gamma * v
+        base_rhs = alpha * v - 2.0 * w - w_old * f_old
+        base_rhs[:-1] += w[1:]
+        base_rhs[1:] += w[:-1]
+        u_pre = u + w_old * v
         u_guess = u + dt * v
         for _ in range(MAX_INNER):
             f_new = evaluate_source(source, x, t_new, u_guess)
-            rhs = base_rhs - theta * dt * f_new
+            rhs = base_rhs - w_new * f_new
             if not np.isfinite(rhs).all():
                 raise StepFailureError(
                     f"non-finite right-hand side in the step to t = {t_new:.6g}", t=t_new)
             v_new = cho_solve_banded((chol, False), rhs)
-            u_new = u + dt * (theta * v_new + (1.0 - theta) * v)
+            u_new = u_pre + w_new * v_new
             if not nonlinear:
                 break
             change = float(np.abs(u_new - u_guess).max())

@@ -48,6 +48,7 @@ the strip ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,8 @@ class PicardConfig:
     def __post_init__(self):
         if not self.tol > 0 or self.max_iter < 1:  # not > 0 also rejects NaN
             raise ValueError("tol must be positive and max_iter >= 1")
+        if not isinstance(self.nx, numbers.Integral):
+            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 9 or not self.dt > 0 or not self.window > 0:
             raise ValueError("invalid collocation grid")
         if self.n_modes > self.nx - 2:
@@ -131,8 +134,8 @@ class NonlinearProblem:
     horizon: float
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
         check_length(self.params.l, g0=self.g0, g1=self.g1)
         if not isinstance(self.source, SourceTerm):
             raise ValueError("source must be a SourceTerm")

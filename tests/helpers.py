@@ -3,10 +3,12 @@
 import mpmath as mp
 import numpy as np
 from scipy.fft import dst
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from strip_solver.green_kernel import green_profile, plan_truncation
 from strip_solver.modes import kernel_values, mode_table
 from strip_solver.nonlinear_solver import volterra_convolve
+from strip_solver.sources import depends_on_u, evaluate_source
 
 
 def brute_green(p, x, xi, t, n_terms=4000, kind="green"):
@@ -96,3 +98,59 @@ def sine_gordon_sweep(p, linear_part, u, bias, n_modes):
     sin_full = np.sin(np.outer(x, table.gamma))
     sin_full[[0, -1], :] = 0.0
     return linear_part.values - sin_full @ uf
+
+
+def theta_scheme_reference(p, g0, g1, source, horizon, nx, dt, theta):
+    """The theta scheme's step loop with three stencil applications per step.
+
+    The loop form of ``fd_oracle.oracle_solve``: it applies D2 to u, to v
+    and to the predictor u + dt*(1 - theta)*v, evaluates the source twice
+    per step and solves through scipy's checked ``cho_solve_banded``; the
+    inner iteration stops as the oracle's does.  Returns the values at
+    every step, boundary rows included.
+    """
+    x_full = np.linspace(0.0, p.l, nx + 2)
+    x = x_full[1:-1]
+    dx = x_full[1] - x_full[0]
+    u, v = g0(x), g1(x)
+    n_steps = max(1, round(horizon / dt))
+    dt = horizon / n_steps
+    eps, c2, a = p.epsilon, p.c**2, p.a
+
+    def d2(w):
+        out = -2.0 * w
+        out[:-1] += w[1:]
+        out[1:] += w[:-1]
+        return out / dx**2
+
+    kappa = theta * dt * (eps + theta * dt * c2)
+    ab = np.zeros((2, nx))
+    ab[0, 1:] = -kappa / dx**2
+    ab[1, :] = 1.0 + a * theta * dt + 2.0 * kappa / dx**2
+    chol = cholesky_banded(ab, lower=False)
+    nonlinear = depends_on_u(source)
+    values = np.zeros((nx + 2, n_steps + 1))
+    values[1:-1, 0] = u
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        t_new = step * dt
+        f_old = evaluate_source(source, x, t, u)
+        d2u, d2v = d2(u), d2(v)
+        explicit = v + (1.0 - theta) * dt * (eps * d2v + c2 * d2u - a * v - f_old)
+        base_rhs = explicit + theta * dt * c2 * d2(u + dt * (1.0 - theta) * v)
+        u_guess = u + dt * v
+        for _ in range(60):
+            f_new = evaluate_source(source, x, t_new, u_guess)
+            v_new = cho_solve_banded((chol, False), base_rhs - theta * dt * f_new)
+            u_new = u + dt * (theta * v_new + (1.0 - theta) * v)
+            if not nonlinear:
+                break
+            change = float(np.abs(u_new - u_guess).max())
+            u_guess = u_new
+            if change <= 1e-12:
+                break
+        else:
+            raise RuntimeError(f"inner iteration did not converge at t = {t_new:.6g}")
+        u, v, t = u_new, v_new, t_new
+        values[1:-1, step] = u
+    return values

@@ -183,6 +183,11 @@ class TestInputErrors:
         self.assert_usage_error(run_cli("oracle", "--T", "0.2", "--nx", "15",
                                         "--t-out-every", "-0.1"))
 
+    def test_solve_nonlinear_infinite_horizon(self, run_cli):
+        res = run_cli("solve-nonlinear", "--T", "inf", "--nx", "17", "--n-modes", "4")
+        self.assert_usage_error(res)
+        assert "horizon" in res.stderr
+
     @pytest.mark.parametrize("flag", ["--nt", "--nx"])
     def test_green_empty_grid(self, run_cli, flag):
         self.assert_usage_error(run_cli("green", flag, "0"))

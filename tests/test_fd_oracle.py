@@ -4,9 +4,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import P_EQ
+from conftest import P_EQ, P_GTR
+from helpers import theta_scheme_reference
+from strip_solver import fd_oracle
 from strip_solver.fd_oracle import OracleConfig, OracleProblem, convergence_study, oracle_solve
-from strip_solver.sources import LinearSource, ZeroSource
+from strip_solver.sources import AlgebraicSource, LinearSource, SineGordonSource, ZeroSource
 from strip_solver.spectrum import SineSpectrum
 
 L = math.pi
@@ -93,13 +95,78 @@ class TestOracleSolve:
             oracle_solve(P_EQ, lambda x: np.cos(x), zeros, ZeroSource(), 1.0,
                          OracleConfig(nx=31, dt=0.05))
 
+    def test_rejects_infinite_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            oracle_solve(P_EQ, zeros, zeros, ZeroSource(), math.inf,
+                         OracleConfig(nx=31, dt=0.05))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(nx=4)
+        with pytest.raises(ValueError, match="integer"):
+            OracleConfig(nx=8.5)
+        assert OracleConfig(nx=np.int64(15)).nx == 15
         with pytest.raises(ValueError):
             OracleConfig(dt=-0.1)
         with pytest.raises(ValueError):
             OracleConfig(theta=1.5)
+
+
+def _two_modes(t):
+    return SineSpectrum(l=L, coeffs=np.array([math.cos(t), 0.5]))
+
+
+LEAN_SOURCES = {
+    "zero": ZeroSource(),
+    "linear": LinearSource(_two_modes),
+    "algebraic": AlgebraicSource(h=1.0, k0=1.0, alpha=0.5),
+    "sine": SineGordonSource(0.45),
+}
+
+
+def _g0(x):
+    return 0.1 * np.sin(x)
+
+
+def _g1(x):
+    return np.sin(2.0 * x)
+
+
+class TestLeanStep:
+    # 100 steps of double rounding bound the reordered arithmetic far below
+    # 1e-13; a wrong alpha, beta or gamma moves the result by O(dt)
+    @pytest.mark.parametrize("p", [P_EQ, P_GTR], ids=["eq", "gtr"])
+    @pytest.mark.parametrize("source", LEAN_SOURCES.values(), ids=LEAN_SOURCES.keys())
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.6, 1.0])
+    def test_matches_three_stencil_reference(self, theta, source, p):
+        fld = oracle_solve(p, _g0, _g1, source, 0.2, OracleConfig(nx=15, dt=0.002, theta=theta))
+        ref = theta_scheme_reference(p, _g0, _g1, source, 0.2, 15, 0.002, theta)
+        assert np.max(np.abs(fld.values - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("name", LEAN_SOURCES.keys())
+    def test_source_evaluations_per_step(self, name, monkeypatch):
+        counts = {"eval": 0, "solve": 0}
+        evaluate, solve = fd_oracle.evaluate_source, fd_oracle.cho_solve_banded
+
+        def eval_spy(*args):
+            counts["eval"] += 1
+            return evaluate(*args)
+
+        def solve_spy(*args):
+            counts["solve"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(fd_oracle, "evaluate_source", eval_spy)
+        monkeypatch.setattr(fd_oracle, "cho_solve_banded", solve_spy)
+        n_steps = 50
+        oracle_solve(P_EQ, _g0, _g1, LEAN_SOURCES[name], 0.5, OracleConfig(nx=15, dt=0.01))
+        # one evaluation at the old time per step and one per inner solve:
+        # the tracer reads the step count as their difference
+        assert counts["eval"] == n_steps + counts["solve"]
+        if name == "sine":
+            assert counts["solve"] > n_steps
+        else:
+            assert counts["solve"] == n_steps
 
 
 class TestStructuralIndependence:

@@ -281,6 +281,16 @@ class TestPicardSolve:
                 NonlinearProblem(params=P_EQ, g0=g0, g1=g1,
                                  source=SineGordonSource(bias=0.0), horizon=1.0)
 
+    def test_rejects_infinite_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                             source=SineGordonSource(bias=0.0), horizon=math.inf)
+
+    def test_config_rejects_fractional_nx(self):
+        with pytest.raises(ValueError, match="integer"):
+            PicardConfig(nx=65.5)
+        assert PicardConfig(nx=np.int64(65)).nx == 65
+
     def test_apriori_bound_holds(self):
         prob = self.small_problem(SineGordonSource(bias=0.5), T=20.0)
         cfg = PicardConfig(tol=1e-8, nx=65, dt=0.01, n_modes=32, window=10.0)
