@@ -36,6 +36,7 @@ _EXPORTS = {
     "TruncationPlan": "green_kernel",
     "decay_constants": "green_kernel",
     "plan_truncation": "green_kernel",
+    "plan_accelerated": "green_kernel",
     "green_profile": "green_kernel",
     "Field": "fields",
     "LinearProblem": "linear_solver",

@@ -307,6 +307,8 @@ def _cmd_oracle(args):
     from .fd_oracle import OracleConfig, oracle_solve
 
     p = _params(args)
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise UsageError(f"horizon T must be positive and finite, got {args.T}")
     if not (math.isfinite(args.t_out_every) and args.t_out_every > 0):
         raise UsageError(f"t-out-every must be positive and finite, got {args.t_out_every}")
     source = _build_source(args, p, args.n_modes)

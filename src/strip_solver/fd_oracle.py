@@ -74,8 +74,8 @@ class OracleConfig:
             raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 8:
             raise ValueError(f"need at least 8 interior nodes, got {self.nx}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:  # also rejects NaN
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
 

@@ -6,8 +6,23 @@ The Green's function of the dissipative strip operator is the sine series
 
 This module evaluates G, its time derivative G_t and the flux combination
 eps*G_t + c^2*G with a certified truncation: the returned value differs
-from the full series by at most the requested tolerance.  The certificate
-(``term_bounds`` per mode, ``_closed_tail`` beyond a depth) combines
+from the full series by at most the requested tolerance.
+
+``green_profile`` sums an accelerated series (Kummer's transformation).
+Every kernel tends to A_n = exp(-c^2 t/eps)/(eps*gamma_n^2), and G_t's to
+-(c^2/eps)*A_n, whose series have the closed form
+
+    (2/l) * sum_n sin(gamma_n x) sin(gamma_n xi)/gamma_n^2 = min(x, xi)*(l - max(x, xi))/l,
+
+so the evaluator adds that closed form and sums only the remainders
+r_n = K_n - A_n, which fall off like 1/n^4 (the flux kernel's two
+asymptotes cancel, so its direct terms already do).  ``plan_accelerated``
+certifies the head depth with a bound C(t)/gamma_n^4 on the remainders of
+overdamped modes (``_remainder_tail``); tolerances of 1e-10 take a few
+thousand modes.
+
+``plan_truncation`` certifies the direct partial sum instead (per-mode
+``term_bounds`` and ``_closed_tail`` beyond a depth).  It combines
 
   * the uniform kernel bound |H_n| <= (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2
     valid for overdamped modes with (b_n/h_n)^2 <= k, with k = CHAIN_K = 1/2
@@ -50,6 +65,7 @@ __all__ = [
     "decay_constants",
     "term_bounds",
     "plan_truncation",
+    "plan_accelerated",
     "green_profile",
     "KINDS",
     "MODE_CAP",
@@ -61,6 +77,8 @@ KINDS = ("green", "dt", "flux")
 MODE_CAP = 10**6
 # the uniform 1/n^2 kernel chain covers overdamped modes with (b/h)^2 <= CHAIN_K
 CHAIN_K = 0.5
+# most (x, mode) elements of one sine matrix in green_profile (8 MB)
+SYNTH_ELEMS = 2**20
 
 
 @dataclass(frozen=True)
@@ -161,13 +179,18 @@ def term_bounds(table: ModeTable, p: Params, t: float, kind: str = "green") -> n
     return np.where(table.over, np.minimum(split, fallback), out)
 
 
+def _gauss_tail(sigma: float, t: float, n0: int) -> float:
+    """Bound on sum_{n > n0} exp(-sigma*n^2*t), the envelope of the fast parts."""
+    st = sigma * t
+    return math.exp(-st * n0**2) / (2.0 * st * n0) if st * n0**2 < 745 else 0.0
+
+
 def _closed_tail(p: Params, t: float, kind: str, n0: int) -> float:
     """Bound on the series tail beyond n0, all such modes overdamped with
     (b/h)^2 <= CHAIN_K: the sum over n > n0 of ``term_bounds``."""
     rk, sigma, e_p = _chain(p, t)
     c2 = p.c**2
-    st = sigma * t
-    gauss = math.exp(-st * n0**2) / (2.0 * st * n0) if st * n0**2 < 745 else 0.0
+    gauss = _gauss_tail(sigma, t, n0)
     if kind == "green":
         return (rk / sigma) * e_p / n0
     if kind == "dt":
@@ -180,31 +203,10 @@ def _closed_tail(p: Params, t: float, kind: str, n0: int) -> float:
     return slow + fast
 
 
-def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
-    """Smallest mode count whose certified tail bound falls below ``tol``.
-
-    The tail beyond N sums the per-term bounds: the finitely many modes
-    not covered by the uniform 1/n^2 chain are bounded individually, the
-    remainder in closed form.  Raises TruncationError when the tolerance
-    is unreachable within MODE_CAP modes (the kernel bounds only decay
-    like 1/n at fixed t, so very tight tolerances are not certifiable by
-    direct summation), and ValueError for a kind outside KINDS or a time
-    or tolerance that is not positive and finite.
-    """
-    _check_request(t, tol, kind)
-    cls = classify_modes(p, CHAIN_K)
-    n_free = max(cls.nk, cls.n2_star)
-    head_table = mode_table(p, n_free - 1) if n_free > 1 else None
-    head_bounds = term_bounds(head_table, p, t, kind) if head_table is not None else None
-    two_over_l = 2.0 / p.l
-
-    def tail(n: int) -> float:
-        n0 = max(n, n_free - 1, 1)
-        total = _closed_tail(p, t, kind, n0)
-        if n < n_free - 1:
-            total += float(np.sum(head_bounds[n:]))
-        return two_over_l * total
-
+def _search_depth(tail, t: float, tol: float, kind: str) -> TruncationPlan:
+    """Smallest depth n <= MODE_CAP with ``tail(n) <= tol``, for a tail bound
+    that does not grow with n: doubling, then bisection.  Raises
+    TruncationError when even MODE_CAP modes do not reach ``tol``."""
     if tail(MODE_CAP) > tol:
         raise TruncationError(
             f"series tolerance {tol:.3g} for kind {kind!r} at t = {t:.3g} is not "
@@ -221,27 +223,109 @@ def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> 
     return TruncationPlan(n_terms=hi, tail_bound=tail(hi), tolerance=tol)
 
 
-def _sine_synthesis(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_{n=1..N} w_n sin(n*theta) at every theta, by blocked angle addition.
+def _free_depth(p: Params) -> int:
+    """n_free = max(nk, n2_star): every mode n >= n_free is overdamped with
+    (b/h)^2 <= CHAIN_K."""
+    cls = classify_modes(p, CHAIN_K)
+    return max(cls.nk, cls.n2_star)
 
-    With n = q*B + m, B = isqrt(N), q = 0..Q-1 and m = 1..B,
 
-        sin(n*theta) = sin(q*B*theta)*cos(m*theta) + cos(q*B*theta)*sin(m*theta),
+def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
+    """Smallest mode count whose certified tail bound falls below ``tol``.
 
-    so the sum is two (nx x B) @ (B x Q) products of the in-block sines and
-    cosines with the weights, recombined with the block sines and cosines:
-    2*nx*(B + Q) trig calls instead of nx*N.
+    This certifies the *direct* partial sum of the kernel series (what
+    ``plan_accelerated`` certifies is the asymptote-subtracted sum that
+    ``green_profile`` evaluates).  The tail beyond N sums the per-term
+    bounds: the finitely many modes not covered by the uniform 1/n^2 chain
+    are bounded individually, the remainder in closed form.  Raises
+    TruncationError when the tolerance is unreachable within MODE_CAP
+    modes (the G and G_t bounds only decay like 1/n at fixed t, so tight
+    tolerances are not certifiable by direct summation), and ValueError
+    for a kind outside KINDS or a time or tolerance that is not positive
+    and finite.
     """
-    n_terms = weights.size
-    block = math.isqrt(n_terms)
-    n_blocks = -(-n_terms // block)
-    w = np.zeros(n_blocks * block)
-    w[:n_terms] = weights
-    w = w.reshape(n_blocks, block).T           # w[m - 1, q] = w_{q*B + m}
-    in_phase = np.outer(theta, np.arange(1, block + 1))
-    block_phase = np.outer(theta, block * np.arange(n_blocks))
-    return np.sum(np.sin(block_phase) * (np.cos(in_phase) @ w)
-                  + np.cos(block_phase) * (np.sin(in_phase) @ w), axis=1)
+    _check_request(t, tol, kind)
+    n_free = _free_depth(p)
+    head_table = mode_table(p, n_free - 1) if n_free > 1 else None
+    head_bounds = term_bounds(head_table, p, t, kind) if head_table is not None else None
+    two_over_l = 2.0 / p.l
+
+    def tail(n: int) -> float:
+        n0 = max(n, n_free - 1, 1)
+        total = _closed_tail(p, t, kind, n0)
+        if n < n_free - 1:
+            total += float(np.sum(head_bounds[n:]))
+        return two_over_l * total
+
+    return _search_depth(tail, t, tol, kind)
+
+
+def _remainder_tail(p: Params, t: float, kind: str, n0: int) -> float:
+    """Bound on sum_{n > n0} |r_n(t)|, the remainders of G ("green") or G_t
+    ("dt") after subtracting the asymptote, all such modes overdamped with
+    (b/h)^2 <= CHAIN_K.
+
+    With lam = c^2/eps, an overdamped H_n splits into the slow part
+    e^(-dm t)/(2w) - e^(-lam t)/(eps g^2) (asymptote included) and the fast
+    part e^(-dp t)/(2w).  From eps g^2 - 2w = 2dm - a and
+    dm - lam = c^2 (dm - a)/(eps (h + w)), with w >= h/rk, h >= eps g^2/2,
+    dm <= 2 lam and e^(-dm t), e^(-lam t) <= e^(-p t):
+
+      |dm - lam| <= shift/g^2,           shift  = 2 c^2 max(2 lam, a)/((1 + 1/rk) eps^2)
+      |1/(2w) - 1/(eps g^2)| <= off/g^4, off    = rk max(4 lam, a)/eps^2
+
+    so by the mean-value theorem the slow part of r_n is at most
+    (t shift rk/eps + off) e^(-p t)/g^4, and its time derivative (the slow
+    part of the G_t remainder) at most
+    (max(1, 2 lam t) shift rk/eps + lam off) e^(-p t)/g^4.  The tail sum
+    uses sum_{n > n0} g_n^-4 <= (l/pi)^4/(3 n0^3).  The fast parts,
+    e^(-dp t)/(2w) <= rk/(2 sigma n^2) e^(-sigma n^2 t) and
+    dp e^(-dp t)/(2w) <= (rk + 1)/2 e^(-sigma n^2 t), go under
+    the Gaussian envelope ``_gauss_tail``.
+    """
+    rk, sigma, e_p = _chain(p, t)
+    eps, c2 = p.epsilon, p.c**2
+    lam = c2 / eps
+    shift = 2.0 * c2 * max(2.0 * lam, p.a) / ((1.0 + 1.0 / rk) * eps**2)
+    off = rk * max(4.0 * lam, p.a) / eps**2
+    quartic = (p.l / math.pi) ** 4 / (3.0 * n0**3)
+    gauss = _gauss_tail(sigma, t, n0)
+    if kind == "green":
+        slow = (t * shift * rk / eps + off) * e_p
+        return slow * quartic + rk / (2.0 * sigma * n0**2) * gauss
+    slow = (max(1.0, 2.0 * lam * t) * shift * rk / eps + lam * off) * e_p
+    return slow * quartic + 0.5 * (rk + 1.0) * gauss
+
+
+def _asymptote_factor(p: Params, t: float, kind: str) -> float:
+    """Kernel asymptote times eps*gamma_n^2: e^(-lam t) for H_n, -lam e^(-lam t)
+    for H_n' (lam = c^2/eps), and 0 for the flux, whose two cancel."""
+    lam = p.c**2 / p.epsilon
+    return {"green": 1.0, "dt": -lam, "flux": 0.0}[kind] * math.exp(-lam * t)
+
+
+def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
+    """Smallest head depth N that certifies ``green_profile``'s sum to ``tol``.
+
+    ``green_profile`` sums the remainders r_n = K_n - A_n of the kernels
+    after their asymptote A_n (zero for the flux, whose direct terms
+    already fall off like 1/n^4) and adds the asymptote's series in closed
+    form, so the dropped tail is sum_{n > N} |r_n| (``_remainder_tail``).
+    N is at least n_free - 1, so every dropped mode is overdamped with
+    (b/h)^2 <= CHAIN_K.  For the flux this is ``plan_truncation``.  Raises
+    like ``plan_truncation``.
+    """
+    _check_request(t, tol, kind)
+    if kind == "flux":
+        return plan_truncation(p, t, tol, kind=kind)
+    n_min = max(_free_depth(p) - 1, 1)
+
+    def tail(n: int) -> float:
+        if n < n_min:
+            return math.inf
+        return (2.0 / p.l) * _remainder_tail(p, t, kind, n)
+
+    return _search_depth(tail, t, tol, kind)
 
 
 def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
@@ -249,9 +333,14 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
     """Evaluate G (or G_t, or eps*G_t + c^2*G) along an array of x values.
 
     ``kind`` is one of KINDS; the result differs from the full series by at
-    most ``tol``.  ``n_terms`` overrides the certified truncation plan;
-    verification stencils use it to difference partial sums of matched
-    depth.  A point value is ``green_profile(p, [x], xi, t)[0]``.
+    most ``tol``.  The series is summed in accelerated form: the kernels'
+    asymptote A_n = a(t)/(eps*gamma_n^2) (``_asymptote_factor``) is
+    subtracted from the first N terms and its whole series added back in
+    closed form, (2/l) sum_n sin(gamma_n x) sin(gamma_n xi)/gamma_n^2 =
+    min(x, xi)*(l - max(x, xi))/l, so the head depth N is certified by
+    ``plan_accelerated``.  ``n_terms`` overrides that N; verification
+    stencils use it to difference partial sums of matched depth.  A point
+    value is ``green_profile(p, [x], xi, t)[0]``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     xi, t = float(xi), float(t)
@@ -264,7 +353,7 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
     interior = (xs != 0.0) & (xs != p.l)
     if not np.any(interior):
         return out
-    n = n_terms if n_terms is not None else plan_truncation(p, t, tol, kind=kind).n_terms
+    n = n_terms if n_terms is not None else plan_accelerated(p, t, tol, kind=kind).n_terms
     table = mode_table(p, n)
     if kind == "green":
         vals = kernel_values(table, t)
@@ -272,6 +361,12 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
         vals = kernel_dt_values(table, t)
     else:
         vals = flux_values(table, t)
-    weights = vals * np.sin(table.gamma * xi)
-    out[interior] = (2.0 / p.l) * _sine_synthesis(xs[interior] * (math.pi / p.l), weights)
+    asym = _asymptote_factor(p, t, kind) / p.epsilon
+    weights = (vals - asym / table.gamma**2) * np.sin(table.gamma * xi)
+    x = xs[interior]
+    closed = asym * np.minimum(x, xi) * (p.l - np.maximum(x, xi)) / p.l
+    step = max(1, SYNTH_ELEMS // x.size)
+    head = sum(np.sin(np.outer(x, table.gamma[i:i + step])) @ weights[i:i + step]
+               for i in range(0, n, step))
+    out[interior] = closed + (2.0 / p.l) * head
     return out

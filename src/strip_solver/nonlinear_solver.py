@@ -101,7 +101,7 @@ class PicardConfig:
             raise ValueError("tol must be positive and max_iter >= 1")
         if not isinstance(self.nx, numbers.Integral):
             raise ValueError(f"nx must be an integer, got {self.nx!r}")
-        if self.nx < 9 or not self.dt > 0 or not self.window > 0:
+        if self.nx < 9 or not 0.0 < self.dt < math.inf or not self.window > 0:
             raise ValueError("invalid collocation grid")
         if self.n_modes > self.nx - 2:
             raise ValueError(f"n_modes = {self.n_modes} needs at least {self.n_modes + 2} x-nodes")

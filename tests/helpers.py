@@ -11,6 +11,21 @@ from strip_solver.nonlinear_solver import volterra_convolve
 from strip_solver.sources import depends_on_u, evaluate_source
 
 
+def _textbook_kernels(eps, a, c, g, t):
+    """H_n(t) and H_n'(t) of wavenumber g from the textbook sinh/sin
+    quotients, at the current mpmath precision."""
+    b = c * g
+    h = (a + eps * g**2) / 2
+    w2 = h * h - b * b
+    w = mp.sqrt(abs(w2))
+    e = mp.exp(-h * t)
+    if w2 == 0:
+        return t * e, e * (1 - h * t)
+    if w2 > 0:
+        return e * mp.sinh(w * t) / w, e * (mp.cosh(w * t) - (h / w) * mp.sinh(w * t))
+    return e * mp.sin(w * t) / w, e * (mp.cos(w * t) - (h / w) * mp.sin(w * t))
+
+
 def brute_green(p, x, xi, t, n_terms=4000, kind="green"):
     """Naive high-precision partial sum of the kernel series.
 
@@ -24,22 +39,35 @@ def brute_green(p, x, xi, t, n_terms=4000, kind="green"):
     l = mp.mpf(p.l)
     for n in range(1, n_terms + 1):
         g = n * mp.pi / l
-        b = p.c * g
-        h = (p.a + p.epsilon * g**2) / 2
-        w2 = h * h - b * b
-        w = mp.sqrt(abs(w2))
-        e = mp.e ** (-h * t)
-        if w2 == 0:
-            hv, hd = t * e, e * (1 - h * t)
-        elif w2 > 0:
-            hv = e * mp.sinh(w * t) / w
-            hd = e * (mp.cosh(w * t) - (h / w) * mp.sinh(w * t))
-        else:
-            hv = e * mp.sin(w * t) / w
-            hd = e * (mp.cos(w * t) - (h / w) * mp.sin(w * t))
+        hv, hd = _textbook_kernels(p.epsilon, p.a, p.c, g, t)
         term = {"green": hv, "dt": hd, "flux": p.epsilon * hd + p.c**2 * hv}[kind]
         total += term * mp.sin(g * xi) * mp.sin(g * x)
     return float(2 / l * total)
+
+
+def kummer_reference(p, x, xi, t, n_terms):
+    """G and G_t at one point from 60-digit textbook terms, in Kummer form.
+
+    Each textbook kernel (``_textbook_kernels``) minus its
+    asymptote e^(-lam t)/(eps g^2) (times -lam for G_t, lam = c^2/eps) is
+    summed over n_terms modes, and the asymptote's series is added back as
+    e^(-lam t)/eps * min(x, xi)*(l - max(x, xi))/l.  No solver code is
+    used.  Returns {"green": G, "dt": G_t}.
+    """
+    with mp.workdps(60):
+        eps, a, c, l, t, x, xi = (mp.mpf(v) for v in (p.epsilon, p.a, p.c, p.l, t, x, xi))
+        lam = c**2 / eps
+        decay = mp.exp(-lam * t) / eps
+        head = {"green": mp.mpf(0), "dt": mp.mpf(0)}
+        for n in range(1, n_terms + 1):
+            g = n * mp.pi / l
+            hv, hd = _textbook_kernels(eps, a, c, g, t)
+            sines = mp.sin(g * x) * mp.sin(g * xi)
+            head["green"] += (hv - decay / g**2) * sines
+            head["dt"] += (hd + lam * decay / g**2) * sines
+        closed = decay * min(x, xi) * (l - max(x, xi)) / l
+        return {"green": float(closed + 2 / l * head["green"]),
+                "dt": float(-lam * closed + 2 / l * head["dt"])}
 
 
 def mode_ode_residual(table, t, step, order=2):
@@ -66,6 +94,10 @@ def pde_residual_sup(p, xs, ts, xi, dx=1e-3, dt=1e-4, plan_tol=1e-4):
     Flux is differenced twice in x, the right side once in t from the G_t
     series; all evaluations share one truncation depth so the identity
     holds mode by mode and the stencil measures only discretisation error.
+    ``green_profile``'s G_t also carries the asymptote's closed form
+    -(c^2/eps) e^(-c^2 t/eps)/eps * min(x, xi)*(l - max(x, xi))/l, which
+    satisfies the identity only when c^2/eps = a (as for P_EQ); otherwise
+    the asymptote's tail beyond the shared depth adds a residual ~ 1/depth.
     """
     n_terms = plan_truncation(p, float(np.min(ts)), plan_tol, kind="green").n_terms
     worst = 0.0

@@ -118,8 +118,9 @@ class TestContract:
         assert res.returncode == 1
 
     def test_numerical_failure_exit_code(self, run_cli):
+        # 1e-20 is beyond the accelerated series' certified reach at MODE_CAP modes
         res = run_cli("green", "--t-min", "0.5", "--t-max", "1.0", "--nt", "2",
-                      "--nx", "3", "--tol", "1e-12")
+                      "--nx", "3", "--tol", "1e-20")
         assert res.returncode == 2
         assert "numerical failure" in res.stderr
 
@@ -187,6 +188,16 @@ class TestInputErrors:
         res = run_cli("solve-nonlinear", "--T", "inf", "--nx", "17", "--n-modes", "4")
         self.assert_usage_error(res)
         assert "horizon" in res.stderr
+
+    def test_oracle_infinite_horizon(self, run_cli):
+        res = run_cli("oracle", "--T", "inf", "--nx", "15")
+        self.assert_usage_error(res)
+        assert "horizon" in res.stderr
+
+    def test_oracle_infinite_step(self, run_cli):
+        res = run_cli("oracle", "--T", "1", "--nx", "15", "--dt", "inf", "--t-out-every", "0.5")
+        self.assert_usage_error(res)
+        assert "dt must be positive and finite" in res.stderr
 
     @pytest.mark.parametrize("flag", ["--nt", "--nx"])
     def test_green_empty_grid(self, run_cli, flag):

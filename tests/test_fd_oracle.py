@@ -108,6 +108,9 @@ class TestOracleSolve:
         assert OracleConfig(nx=np.int64(15)).nx == 15
         with pytest.raises(ValueError):
             OracleConfig(dt=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                OracleConfig(dt=bad)
         with pytest.raises(ValueError):
             OracleConfig(theta=1.5)
 

@@ -3,18 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_PARAM_SETS, P_EQ, P_LESS
-from helpers import brute_green, pde_residual_sup
+from conftest import ALL_PARAM_SETS, P_EQ, P_GTR, P_LESS
+from helpers import brute_green, kummer_reference, pde_residual_sup
 from strip_solver.errors import TruncationError
 from strip_solver.green_kernel import (
+    CHAIN_K,
     KINDS,
-    _sine_synthesis,
+    _remainder_tail,
     decay_constants,
     green_profile,
+    plan_accelerated,
     plan_truncation,
     term_bounds,
 )
-from strip_solver.modes import Params, mode_table
+from strip_solver.modes import (
+    Params,
+    classify_modes,
+    kernel_dt_values,
+    kernel_values,
+    mode_table,
+)
 
 # converged series value at x = xi = pi/2, t = 1 for eps = a = c = 1, l = pi:
 # (2/pi) * (5/4 * e^-1 - sum_{odd n >= 3} e^{-n^2}/(n^2 - 1)), the slow parts
@@ -169,14 +177,50 @@ class TestDecayEnvelopes:
             assert math.isfinite(env) and env < 10.0
 
 
-class TestSineSynthesis:
-    @pytest.mark.parametrize("n_terms", [1, 2, 3, 7, 1000, 170_000])
-    def test_matches_direct_sum(self, n_terms):
-        # random signs, decaying like the 1/n^2 kernel bound the series sums
-        rng = np.random.default_rng(n_terms)
-        n = np.arange(1, n_terms + 1)
-        weights = rng.uniform(-1.0, 1.0, n_terms) / n**2
-        theta = np.linspace(0.0, math.pi, 21)
-        direct = np.sin(np.outer(theta, n)) @ weights
-        blocked = _sine_synthesis(theta, weights)
-        assert np.max(np.abs(blocked - direct)) <= 1e-14 * np.sum(np.abs(weights))
+class TestAcceleratedSeries:
+    @pytest.mark.parametrize("kind", ["green", "dt"])
+    @pytest.mark.parametrize("p", ALL_PARAM_SETS)
+    def test_remainder_tail_bound_verified_by_deeper_summation(self, p, kind):
+        # r_n = K_n - A_n with A_n = e^{-lam t}/(eps gamma_n^2), times -lam for G_t
+        # checked at the planned depth and at shallow depths, where the
+        # Gaussian envelope of the fast parts dominates the bound
+        lam = p.c**2 / p.epsilon
+        cls = classify_modes(p, CHAIN_K)
+        n_min = max(cls.nk, cls.n2_star, 2) - 1
+        values = kernel_values if kind == "green" else kernel_dt_values
+        for t in (0.05, 0.1, 0.5, 1.0, 5.0):
+            plan = plan_accelerated(p, t, 1e-5, kind=kind)
+            assert n_min <= plan.n_terms and plan.tail_bound <= 1e-5
+            depths = (plan.n_terms, n_min, 2 * n_min, 4 * n_min, 8 * n_min)
+            table = mode_table(p, 10 * max(depths) + 100)
+            asym = (1.0 if kind == "green" else -lam) * math.exp(-lam * t) / p.epsilon
+            rem = np.abs(values(table, t) - asym / table.gamma**2)
+            for n in depths:
+                bound = 2.0 / p.l * _remainder_tail(p, t, kind, n)
+                direct = np.sum(rem[n:]) * 2.0 / p.l
+                assert direct <= bound, (t, n, direct, bound)
+
+    def test_tight_tolerance_against_60_digit_reference(self):
+        x, xi, t, tol = 0.9, 1.7, 0.1, 1e-10
+        depths = {kind: plan_accelerated(P_EQ, t, tol, kind=kind).n_terms
+                  for kind in ("green", "dt")}
+        assert max(depths.values()) <= 3000, depths
+        ref = kummer_reference(P_EQ, x, xi, t, n_terms=10 * max(depths.values()))
+        for kind in ("green", "dt"):
+            val = green_profile(P_EQ, [x], xi, t, kind=kind, tol=tol)[0]
+            assert val == pytest.approx(ref[kind], abs=tol), kind
+
+    def test_strong_wave_speed_set_is_certified_at_small_time(self):
+        # the direct series cannot certify 1e-5 here within MODE_CAP modes
+        with pytest.raises(TruncationError):
+            plan_truncation(P_GTR, 0.1, 1e-5)
+        xs = np.linspace(0.0, P_GTR.l, 11)
+        for kind in KINDS:
+            prof = green_profile(P_GTR, xs, 1.3, 0.1, kind=kind, tol=1e-5)
+            assert np.all(np.isfinite(prof)) and prof[0] == prof[-1] == 0.0
+
+    def test_flux_plan_is_the_direct_plan(self):
+        # the flux terms already fall off like 1/n^4: nothing is subtracted
+        for t in (0.1, 1.0):
+            assert plan_accelerated(P_LESS, t, 1e-8, kind="flux") == \
+                plan_truncation(P_LESS, t, 1e-8, kind="flux")

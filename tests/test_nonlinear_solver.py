@@ -286,6 +286,11 @@ class TestPicardSolve:
             NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
                              source=SineGordonSource(bias=0.0), horizon=math.inf)
 
+    def test_config_rejects_non_finite_dt(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="invalid collocation grid"):
+                PicardConfig(dt=bad)
+
     def test_config_rejects_fractional_nx(self):
         with pytest.raises(ValueError, match="integer"):
             PicardConfig(nx=65.5)
