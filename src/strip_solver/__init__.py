@@ -44,7 +44,6 @@ _EXPORTS = {
     "QuadConfig": "linear_solver",
     "forced_response": "linear_solver",
     "solve_linear": "linear_solver",
-    "residual": "linear_solver",
     "SourceTerm": "sources",
     "ZeroSource": "sources",
     "LinearSource": "sources",

@@ -40,6 +40,7 @@ bounds the error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "QuadConfig",
     "forced_response",
     "solve_linear",
-    "residual",
 ]
 
 
@@ -81,6 +81,8 @@ class QuadConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not isinstance(self.max_doublings, numbers.Integral):
+            raise ValueError(f"max_doublings must be an integer, got {self.max_doublings!r}")
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
@@ -242,33 +244,3 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     values_dt = sin_mat @ dt_coeffs if grid.with_dt else None
     return Field(x_nodes=grid.x_nodes.copy(), t_nodes=ts.copy(),
                  values=sin_mat @ coeffs, values_dt=values_dt)
-
-def residual(p: Params, u: Field, f_values) -> float:
-    """Sup-norm of the discrete operator residual L u - f on interior nodes.
-
-    Uses second-order central differences in x and t and the mixed
-    d_xx d_t stencil; the grid must be uniform in each direction with at
-    least five interior nodes per axis.
-    """
-    x, t, vals = u.x_nodes, u.t_nodes, u.values
-    if x.size < 7 or t.size < 7:
-        raise ValueError("need at least 5 interior nodes per axis (7 total)")
-    dxs, dts = np.diff(x), np.diff(t)
-    if not (np.allclose(dxs, dxs[0], rtol=1e-9) and np.allclose(dts, dts[0], rtol=1e-9)):
-        raise ValueError("residual evaluation requires uniform grids")
-    dx, dt = dxs[0], dts[0]
-    if callable(f_values):
-        f_grid = np.asarray([[f_values(xi, tj) for tj in t] for xi in x], dtype=float)
-    elif f_values is None:
-        f_grid = np.zeros_like(vals)
-    else:
-        f_grid = np.asarray(f_values, dtype=float)
-        if f_grid.shape != vals.shape:
-            raise ValueError("f grid shape must match the field values")
-    uxx = (vals[:-2, :] - 2.0 * vals[1:-1, :] + vals[2:, :]) / dx**2
-    ut = (vals[:, 2:] - vals[:, :-2]) / (2.0 * dt)
-    utt = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / dt**2
-    uxxt = (uxx[:, 2:] - uxx[:, :-2]) / (2.0 * dt)
-    res = (p.epsilon * uxxt + p.c**2 * uxx[:, 1:-1]
-           - utt[1:-1, :] - p.a * ut[1:-1, :] - f_grid[1:-1, 1:-1])
-    return float(np.max(np.abs(res)))

@@ -36,8 +36,9 @@ equations are explicit in time and a window is marched block by block
 After each window, one full sweep of the marched window with
 ``volterra_convolve`` gives its fixed-point residual, the certificate
 that ``tol`` bounds.  Long horizons are integrated window by window,
-restarting from the end state (u, u_t).  A source that does not depend on
-u is solved by that one full sweep alone.
+restarting from the end state (u, u_t).  A source that does not depend
+on u goes, as spectra f(t), to ``linear_solver.solve_linear`` on the
+collocation grid, and ``tol`` then bounds its step-halving estimate.
 
 For the biased sine source F = sin(u) - bias, the constant bias is
 expanded with its exact sine coefficients rather than sampled, which
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dst, irfft, next_fast_len, rfft
 
-from . import green_kernel
+from . import green_kernel, linear_solver
 from .errors import NumericalError
 from .fields import Field
 from .modes import Params, kernel_dt_values, kernel_values, mode_table, propagate_state
@@ -86,7 +87,9 @@ BLOCK = 32
 class PicardConfig:
     """Collocation grid and iteration controls for the fixed-point solve.
 
-    ``max_iter`` caps the sweeps of each block of the march.
+    ``max_iter`` caps the sweeps of each block of the march.  For a
+    u-independent source, ``tol`` bounds the step-halving estimate of
+    ``solve_linear``, and ``max_iter`` and ``window`` are unused.
     """
 
     tol: float = 1e-8
@@ -97,10 +100,11 @@ class PicardConfig:
     window: float = 10.0
 
     def __post_init__(self):
+        for name in ("max_iter", "nx", "n_modes"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.tol > 0 or self.max_iter < 1:  # not > 0 also rejects NaN
             raise ValueError("tol must be positive and max_iter >= 1")
-        if not isinstance(self.nx, numbers.Integral):
-            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 9 or not 0.0 < self.dt < math.inf or not self.window > 0:
             raise ValueError("invalid collocation grid")
         if self.n_modes > self.nx - 2:
@@ -114,7 +118,9 @@ class PicardReport:
     ``iterations`` counts the block sweeps of all windows, and ``residuals``
     holds one fixed-point residual (certificate) per window.  Each window
     trace holds ``t_start``, ``t_end``, ``iterations`` (the most sweeps any
-    one block needed), ``residual`` and ``converged``.
+    one block needed), ``residual`` and ``converged``.  A u-independent
+    source is not iterated: ``iterations`` is 0, the lists are empty and
+    ``converged`` is True (``solve_linear`` raises when it misses ``tol``).
     """
 
     iterations: int
@@ -219,30 +225,36 @@ def _block_operator(hmat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.tril(kern[:, lag], -1))  # C order: fast batched matmul
 
 
+def _linear_f(source: SourceTerm, l: float, n_modes: int):
+    """A u-independent source as f(t) -> SineSpectrum of ``n_modes``, None if zero.
+
+    The algebraic source's constant uses its exact sine coefficients.
+    """
+    if isinstance(source, ZeroSource):
+        return None
+    if isinstance(source, LinearSource):
+        return lambda t: SineSpectrum(l=l, coeffs=pad_modes(source.f(t).coeffs, n_modes))
+    if isinstance(source, ExpDecayingSource):
+        prof = analyze(lambda x: np.asarray(source.profile(x), dtype=float),
+                       n_modes, l=l).coeffs
+        return lambda t: SineSpectrum(l=l, coeffs=prof * math.exp(-source.mu * t))
+    if isinstance(source, AlgebraicSource):
+        const = constant_coefficients(1.0, l, n_modes)
+        return lambda t: SineSpectrum(
+            l=l, coeffs=const * (source.h / (source.k0 + t) ** (1.0 + source.alpha)))
+    raise TypeError(f"unknown u-independent source kind: {type(source).__name__}")
+
+
 def _source_spectra(source: SourceTerm, p: Params, n_modes: int, x_interior: np.ndarray):
     """``spectra(u_interior, t_abs)``: sine spectra of F(., t, u), one column per time.
 
-    Kinds with known spectra use them exactly (the constant bias of the sine
-    source too); the others are sampled on the interior collocation nodes
-    and transformed by DST-I.  What does not depend on (t, u) is computed
-    here, once per solve.
+    The constant bias of the sine source uses its exact sine coefficients,
+    computed once per solve; other values are sampled on the interior
+    collocation nodes and transformed by DST-I.
     """
     def transformed(fvals):
         return dst(fvals, type=1, axis=0)[:n_modes, :] / (x_interior.size + 1)
 
-    if isinstance(source, ZeroSource):
-        return lambda u, t_abs: np.zeros((n_modes, t_abs.size))
-    if isinstance(source, LinearSource):
-        return lambda u, t_abs: np.column_stack(
-            [pad_modes(source.f(float(t)).coeffs, n_modes) for t in t_abs])
-    if isinstance(source, ExpDecayingSource):
-        prof = analyze(lambda x: np.asarray(source.profile(x), dtype=float),
-                       n_modes, l=p.l).coeffs
-        return lambda u, t_abs: prof[:, None] * np.exp(-source.mu * t_abs)[None, :]
-    if isinstance(source, AlgebraicSource):
-        const = constant_coefficients(1.0, p.l, n_modes)
-        return lambda u, t_abs: (
-            const[:, None] * (source.h / (source.k0 + t_abs) ** (1.0 + source.alpha))[None, :])
     if isinstance(source, SineGordonSource):
         bias = constant_coefficients(-source.bias, p.l, n_modes)[:, None]
         return lambda u, t_abs: transformed(np.sin(u)) + bias
@@ -334,25 +346,41 @@ def _march_window(table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, dt
     return modal, counts, ok
 
 
+def _solve_linear_source(prob: NonlinearProblem, cfg: PicardConfig, x: np.ndarray) -> Field:
+    """``solve_linear`` to ``tol`` for a u-independent source, on the collocation grid."""
+    p, n_modes = prob.params, cfg.n_modes
+    f = _evaluating(_linear_f, prob.source, p.l, n_modes)
+    g0, g1 = (SineSpectrum(l=p.l, coeffs=pad_modes(g.coeffs, n_modes)) for g in (prob.g0, prob.g1))
+    lin_prob = linear_solver.LinearProblem(
+        p, g0, g1, None if f is None else (lambda t: _evaluating(f, t)), prob.horizon)
+    steps = max(2, round(prob.horizon / cfg.dt))
+    grid = linear_solver.GridSpec(x, prob.horizon * np.arange(steps + 1) / steps)
+    # through its module, so that a wrapper on linear_solver.solve_linear
+    # (perfbench's tracer) sees the call
+    return linear_solver.solve_linear(lin_prob, grid, linear_solver.QuadConfig(tol=cfg.tol))
+
+
 def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
                  ) -> tuple[Field, PicardReport]:
     """Fixed-point solution on [0, horizon], marched window by window.
 
     Returns the field on the collocation grid together with the iteration
     trace.  Non-convergence is reported (``converged=False``), not raised;
-    non-finite iterates raise NumericalError.
+    non-finite iterates raise NumericalError.  A u-independent source goes
+    to ``solve_linear``, which raises AccuracyError when it misses ``tol``.
     """
     p = prob.params
     n_modes = cfg.n_modes
-    table = mode_table(p, n_modes)
     x = np.linspace(0.0, p.l, cfg.nx)
+    if not depends_on_u(prob.source):
+        return _solve_linear_source(prob, cfg, x), PicardReport(
+            iterations=0, residuals=[], converged=True)
+    table = mode_table(p, n_modes)
     sin_int = np.sin(np.outer(x[1:-1], table.gamma))
     sin_full = np.zeros((cfg.nx, n_modes))
     sin_full[1:-1, :] = sin_int
     g0c, g1c = pad_modes(prob.g0.coeffs, n_modes), pad_modes(prob.g1.coeffs, n_modes)
-    nonlinear = depends_on_u(prob.source)
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
-    window = min(cfg.window, prob.horizon) if nonlinear else prob.horizon
     t_cols, v_cols = [], []
     traces, residuals = [], []
     iterations = 0
@@ -361,7 +389,7 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     # times; windows of equal length share them
     kernels = {}
     while t0 < prob.horizon - 1e-12 * prob.horizon:
-        t1 = min(t0 + window, prob.horizon)
+        t1 = min(t0 + cfg.window, prob.horizon)
         span = t1 - t0
         steps = max(2, round(span / cfg.dt))
         t_rel = span * np.arange(steps + 1) / steps
@@ -372,22 +400,14 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
             kernels[span, steps] = (hmat, kernel_dt_values(table, t_rel), _block_operator(hmat))
         hmat, hdmat, block_op = kernels[span, steps]
         lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
-        if nonlinear:
-            modal, counts, ok = _march_window(table, hmat, hdmat, block_op, lin, sin_int,
-                                              spectra, t_abs, dt, cfg)
-        else:
-            modal, counts, ok = lin, [1], True
-        # one full sweep: the certificate of a marched window, the solution
-        # for a source that does not depend on u
+        modal, counts, ok = _march_window(table, hmat, hdmat, block_op, lin, sin_int,
+                                          spectra, t_abs, dt, cfg)
+        # one full sweep of the marched window: its fixed-point residual
         grid = sin_int @ modal
         fhat = _evaluating(spectra, grid, t_abs)
-        swept = lin - volterra_convolve(hmat, fhat, dt)
-        grid_swept = _finite(sin_int @ swept)
-        if nonlinear:
-            residual = float(np.max(np.abs(grid_swept - grid)))
-            ok = ok and residual <= cfg.tol
-        else:
-            modal, residual = swept, 0.0  # F(u) is fixed: the sweep is exact
+        swept = _finite(sin_int @ (lin - volterra_convolve(hmat, fhat, dt)))
+        residual = float(np.max(np.abs(swept - grid)))
+        ok = ok and residual <= cfg.tol
         modal_dt_end = lin_dt[:, -1] - dt * (fhat * hdmat[:, ::-1]) @ _row_weights(steps)
         iterations += sum(counts)
         residuals.append(residual)

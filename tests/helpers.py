@@ -113,6 +113,38 @@ def pde_residual_sup(p, xs, ts, xi, dx=1e-3, dt=1e-4, plan_tol=1e-4):
     return worst
 
 
+def residual(p, u, f_values):
+    """Sup-norm of the discrete operator residual L u - f on interior nodes.
+
+    Uses second-order central differences in x and t and the mixed
+    d_xx d_t stencil; the grid must be uniform in each direction with at
+    least five interior nodes per axis.  ``f_values`` is None (f = 0), a
+    callable f(x, t) or an array shaped like ``u.values``.
+    """
+    x, t, vals = u.x_nodes, u.t_nodes, u.values
+    if x.size < 7 or t.size < 7:
+        raise ValueError("need at least 5 interior nodes per axis (7 total)")
+    dxs, dts = np.diff(x), np.diff(t)
+    if not (np.allclose(dxs, dxs[0], rtol=1e-9) and np.allclose(dts, dts[0], rtol=1e-9)):
+        raise ValueError("residual evaluation requires uniform grids")
+    dx, dt = dxs[0], dts[0]
+    if callable(f_values):
+        f_grid = np.asarray([[f_values(xi, tj) for tj in t] for xi in x], dtype=float)
+    elif f_values is None:
+        f_grid = np.zeros_like(vals)
+    else:
+        f_grid = np.asarray(f_values, dtype=float)
+        if f_grid.shape != vals.shape:
+            raise ValueError("f grid shape must match the field values")
+    uxx = (vals[:-2, :] - 2.0 * vals[1:-1, :] + vals[2:, :]) / dx**2
+    ut = (vals[:, 2:] - vals[:, :-2]) / (2.0 * dt)
+    utt = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / dt**2
+    uxxt = (uxx[:, 2:] - uxx[:, :-2]) / (2.0 * dt)
+    res = (p.epsilon * uxxt + p.c**2 * uxx[:, 1:-1]
+           - utt[1:-1, :] - p.a * ut[1:-1, :] - f_grid[1:-1, 1:-1])
+    return float(np.max(np.abs(res)))
+
+
 def sine_gordon_sweep(p, linear_part, u, bias, n_modes):
     """One fixed-point sweep u -> u_linear - G * (sin(u) - bias), as values.
 

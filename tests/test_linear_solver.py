@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P_EQ
+from helpers import residual
 from strip_solver.errors import AccuracyError
 from strip_solver.green_kernel import decay_constants
 from strip_solver.asymptotics import decay_fit
@@ -13,7 +14,6 @@ from strip_solver.linear_solver import (
     LinearProblem,
     QuadConfig,
     forced_response,
-    residual,
     solve_linear,
 )
 from strip_solver.profiles import make_profile
@@ -142,7 +142,7 @@ class TestSourceQuadrature:
 
     def test_config_rejects_invalid_controls(self):
         for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
-                       {"max_doublings": 0}):
+                       {"max_doublings": 0}, {"max_doublings": 2.5}):
             with pytest.raises(ValueError):
                 QuadConfig(**kwargs)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P_EQ
-from helpers import sine_gordon_sweep
+from helpers import residual, sine_gordon_sweep
 from strip_solver import nonlinear_solver
 from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
@@ -81,10 +81,16 @@ class TestPicardSolve:
         return NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
                                 source=source, horizon=T)
 
+    def assert_not_iterated(self, rep):
+        # a u-independent source goes to solve_linear, which raises when it
+        # misses tol, so the report holds no sweep and no residual
+        assert rep.converged and rep.iterations == 0
+        assert rep.residuals == [] and rep.window_traces == []
+
     def test_zero_source_single_iteration(self):
         prob = self.small_problem(ZeroSource(), T=2.0)
         fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.02, n_modes=8))
-        assert rep.converged and rep.iterations == 1
+        self.assert_not_iterated(rep)
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         lin = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 2.0), grid)
         assert np.max(np.abs(fld.values - lin.values)) < 1e-13
@@ -105,28 +111,28 @@ class TestPicardSolve:
         assert np.all(fld.values == 0.0)
 
     def test_linear_source_matches_linear_solver(self):
-        # the collocation step bounds the agreement, as for the exp source
         f = lambda t: spec([math.exp(-0.3 * t), 0.2])
         prob = NonlinearProblem(params=P_EQ, g0=spec([0.05]), g1=spec([0.0]),
                                 source=LinearSource(f), horizon=2.0)
-        fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.01, n_modes=8))
-        assert rep.converged and rep.iterations == 1
+        cfg = PicardConfig(nx=33, dt=0.01, n_modes=8)
+        fld, rep = picard_solve(prob, cfg)
+        self.assert_not_iterated(rep)
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         reference = solve_linear(LinearProblem(P_EQ, spec([0.05]), spec([0.0]), f, 2.0),
                                  grid, QuadConfig(tol=1e-12))
-        assert np.max(np.abs(fld.values - reference.values)) < 1e-5
+        assert np.max(np.abs(fld.values - reference.values)) <= cfg.tol
 
     def test_algebraic_source_matches_linear_solver(self):
-        # one sweep through the exact spectra h/(k0 + t)^(1 + alpha) * 1_n
+        # the exact spectra h/(k0 + t)^(1 + alpha) * 1_n fall off like 1/n
         src = AlgebraicSource(h=1.0, k0=1.0, alpha=0.5)
-        fld, rep = picard_solve(self.small_problem(src),
-                                PicardConfig(nx=65, dt=0.01, n_modes=16))
-        assert rep.converged and rep.iterations == 1
+        cfg = PicardConfig(nx=65, dt=0.01, n_modes=16)
+        fld, rep = picard_solve(self.small_problem(src), cfg)
+        self.assert_not_iterated(rep)
         f = lambda t: spec(constant_coefficients(src.h / (src.k0 + t) ** (1.0 + src.alpha), L, 16))
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         reference = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), f, 5.0),
                                  grid, QuadConfig(tol=1e-11))
-        assert np.max(np.abs(fld.values - reference.values)) < 1e-5
+        assert np.max(np.abs(fld.values - reference.values)) <= cfg.tol
 
     def test_window_converges_without_bisection(self):
         # at most 8 sweeps per block reach 1e-10 on one window of 5; no
@@ -248,20 +254,34 @@ class TestPicardSolve:
         prob = NonlinearProblem(params=P_EQ, g0=spec([0.0]), g1=spec([0.0]),
                                 source=ExpDecayingSource(profile=profile, mu=mu),
                                 horizon=4.0)
-        fld, rep = picard_solve(prob, PicardConfig(nx=65, dt=0.01, n_modes=16))
+        cfg = PicardConfig(nx=65, dt=0.01, n_modes=16)
+        fld, rep = picard_solve(prob, cfg)
         assert rep.converged
         grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
         f = lambda t: spec([math.exp(-mu * t)])
         lin = solve_linear(LinearProblem(P_EQ, spec([0.0]), spec([0.0]), f, 4.0),
                            grid, QuadConfig(tol=1e-11))
-        assert np.max(np.abs(fld.values - lin.values)) < 1e-5
+        assert np.max(np.abs(fld.values - lin.values)) <= cfg.tol
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_exp_decaying_source_meets_tol_against_closed_form(self, tol):
+        # mode 1 of P_EQ is critically damped, H_1(t) = t e^{-t}, so with zero
+        # data u = -e^{-mu t} (1 - (1 + k t) e^{-k t}) / k^2 * sin x, k = 1 - mu
+        mu, k = 0.25, 0.75
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.0]), g1=spec([0.0]),
+                                source=ExpDecayingSource(profile=np.sin, mu=mu),
+                                horizon=5.0)
+        fld, rep = picard_solve(prob, PicardConfig(tol=tol))
+        assert rep.converged
+        t = fld.t_nodes
+        exact = -np.outer(np.sin(fld.x_nodes),
+                          np.exp(-mu * t) * (1.0 - (1.0 + k * t) * np.exp(-k * t)) / k**2)
+        assert np.max(np.abs(fld.values - exact)) <= tol
 
     def test_differential_consistency(self):
         # the boundary-compatible source admits a pointwise comparison; a
         # constant bias would leave an O(bias) sine-truncation tail at the
         # nodes next to the ends
-        from strip_solver.linear_solver import residual
-
         prob = self.small_problem(SineGordonSource(bias=0.0), T=1.0)
         cfg = PicardConfig(tol=1e-10, nx=129, dt=0.005, n_modes=32, window=5.0)
         fld, rep = picard_solve(prob, cfg)
@@ -292,8 +312,10 @@ class TestPicardSolve:
                 PicardConfig(dt=bad)
 
     def test_config_rejects_fractional_nx(self):
-        with pytest.raises(ValueError, match="integer"):
-            PicardConfig(nx=65.5)
+        # and the other integer settings, which would fail mid-solve
+        for kwargs in ({"nx": 65.5}, {"max_iter": 2.5}, {"nx": 33, "n_modes": 4.5}):
+            with pytest.raises(ValueError, match="integer"):
+                PicardConfig(**kwargs)
         assert PicardConfig(nx=np.int64(65)).nx == 65
 
     def test_apriori_bound_holds(self):
@@ -309,16 +331,20 @@ class TestPicardSolve:
 
 class TestSourceFailure:
     def test_failing_source_is_reported(self):
-        def explode(x, t, u):
+        # the CLI maps RuntimeError to exit 2; u-independent kinds fail
+        # while their spectra are built (exp) or sampled (linear)
+        def explode(*args):
             raise RuntimeError("sensor offline")
 
-        def reject(x, t, u):
+        def reject(*args):
             raise ValueError("bad reading")
 
         cfg = PicardConfig(nx=33, dt=0.05, n_modes=8)
-        for fn, kind in ((explode, RuntimeError), (reject, ValueError)):
-            prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
-                                    source=CustomSource(fn=fn), horizon=0.5)
-            with pytest.raises(RuntimeError, match="source evaluation failed") as info:
-                picard_solve(prob, cfg)
-            assert type(info.value.__cause__) is kind
+        for fail, kind in ((explode, RuntimeError), (reject, ValueError)):
+            for source in (CustomSource(fn=fail), LinearSource(f=fail),
+                           ExpDecayingSource(profile=fail, mu=0.5)):
+                prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                        source=source, horizon=0.5)
+                with pytest.raises(RuntimeError, match="source evaluation failed") as info:
+                    picard_solve(prob, cfg)
+                assert type(info.value.__cause__) is kind
