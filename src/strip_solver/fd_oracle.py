@@ -22,16 +22,18 @@ within each step.
 This module deliberately shares no numerical kernels with the spectral
 modules: it imports only the parameter container and the source-term
 definitions, so agreement between the two solvers is meaningful evidence.
+The banded Cholesky routines come from ``scipy.linalg``, which is loaded
+on the first factorisation or solve, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import StepFailureError
 from .fields import Field
@@ -44,7 +46,13 @@ __all__ = ["OracleConfig", "OracleProblem", "StudyRecord", "oracle_solve", "conv
 NONLINEAR_INNER_TOL = 1e-12
 MAX_INNER = 60
 
-_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
+
+@functools.cache
+def _banded_lapack():
+    """``scipy.linalg.cholesky_banded`` and LAPACK ``pbtrs``, loaded once on first use."""
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
+
+    return cholesky_banded, get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 def cho_solve_banded(cb_and_lower, b):
@@ -52,10 +60,12 @@ def cho_solve_banded(cb_and_lower, b):
 
     The call ``scipy.linalg.cho_solve_banded`` makes, without its argument
     checks: the factor comes from ``cholesky_banded`` (which checks it) and
-    ``oracle_solve`` checks every right-hand side before the solve.
+    ``oracle_solve`` checks every right-hand side before the solve.  The
+    first call (or the first ``oracle_solve``) loads ``scipy.linalg``.
     """
     cb, lower = cb_and_lower
-    x, info = _PBTRS(cb, b, lower=lower)
+    _, pbtrs = _banded_lapack()
+    x, info = pbtrs(cb, b, lower=lower)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky solve failed (pbtrs info = {info})")
     return x
@@ -138,6 +148,7 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     ab = np.zeros((2, nx))
     ab[0, 1:] = off
     ab[1, :] = diag
+    cholesky_banded, _ = _banded_lapack()
     chol = cholesky_banded(ab, lower=False)
 
     # Its RHS: alpha*v + D2(beta*u + gamma*v) - w_old*F_old - w_new*F_new,

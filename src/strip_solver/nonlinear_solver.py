@@ -53,7 +53,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, irfft, next_fast_len, rfft
 
 from . import green_kernel, linear_solver
 from .errors import NumericalError
@@ -69,7 +68,7 @@ from .sources import (
     depends_on_u,
     evaluate_source,
 )
-from .spectrum import SineSpectrum, analyze, check_length, constant_coefficients, pad_modes
+from .spectrum import SineSpectrum, analyze, check_length, constant_coefficients, dst, pad_modes
 
 __all__ = [
     "PicardConfig",
@@ -107,6 +106,8 @@ class PicardConfig:
             raise ValueError("tol must be positive and max_iter >= 1")
         if self.nx < 9 or not 0.0 < self.dt < math.inf or not self.window > 0:
             raise ValueError("invalid collocation grid")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if self.n_modes > self.nx - 2:
             raise ValueError(f"n_modes = {self.n_modes} needs at least {self.n_modes + 2} x-nodes")
 
@@ -161,16 +162,44 @@ _GREGORY = (-1.0 / 8.0, 1.0 / 6.0, -1.0 / 24.0)
 _START_WEIGHTS = (_GREGORY[0] - 0.5, _GREGORY[1], _GREGORY[2])
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2^i 3^j 5^k >= n.
+
+    Equal to ``scipy.fft.next_fast_len(n, real=True)``, the length at which
+    ``scipy.signal.fftconvolve`` transforms real input.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
     """Full linear convolution of real ``a`` and ``b`` along axis ``axes``.
 
-    Real FFTs at a fast length, as ``scipy.signal.fftconvolve`` computes
-    them (and bitwise equal to it), without importing ``scipy.signal``.
+    numpy's real FFTs at ``_fast_len``, the steps ``scipy.signal.fftconvolve``
+    takes for real input.  numpy >= 2 and scipy share pocketfft, so the
+    result is bitwise equal to scipy's.  The inputs are zero-padded here:
+    on input of many rows numpy's own padding (the ``n`` argument of
+    ``rfft``) takes about twice as long.
     """
     n = a.shape[axes] + b.shape[axes] - 1
-    n_fft = next_fast_len(n, True)
-    full = irfft(rfft(a, n_fft, axis=axes) * rfft(b, n_fft, axis=axes), n_fft, axis=axes)
-    return full[(slice(None),) * axes + (slice(n),)]
+    n_fft = _fast_len(n)
+    lead = (slice(None),) * axes
+
+    def padded(x):
+        out = np.zeros(x.shape[:axes] + (n_fft,) + x.shape[axes + 1:])
+        out[lead + (slice(x.shape[axes]),)] = x
+        return out
+
+    spectrum = np.fft.rfft(padded(a), axis=axes) * np.fft.rfft(padded(b), axis=axes)
+    full = np.fft.irfft(spectrum, n_fft, axis=axes)
+    return full[lead + (slice(n),)]
 
 
 def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
@@ -253,7 +282,7 @@ def _source_spectra(source: SourceTerm, p: Params, n_modes: int, x_interior: np.
     collocation nodes and transformed by DST-I.
     """
     def transformed(fvals):
-        return dst(fvals, type=1, axis=0)[:n_modes, :] / (x_interior.size + 1)
+        return dst(fvals, axis=0)[:n_modes, :] / (x_interior.size + 1)
 
     if isinstance(source, SineGordonSource):
         bias = constant_coefficients(-source.bias, p.l, n_modes)[:, None]

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "SineSpectrum",
@@ -34,11 +33,13 @@ __all__ = [
     "constant_coefficients",
     "pad_modes",
     "check_length",
+    "dst",
     "BOUNDARY_WARN_TOL",
 ]
 
 BOUNDARY_WARN_TOL = 1e-8
 DEFAULT_NUM_POINTS = 2049
+DST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,37 @@ def _warn_incompatible(v0, vl):
         )
 
 
+def dst(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalised type-I discrete sine transform of ``x`` along ``axis``.
+
+    y_k = 2 * sum_{j=0}^{N-1} x_j sin(pi*(j+1)*(k+1)/(N+1)), computed as
+    minus the imaginary part of the real FFT of the odd extension
+    [0, x, 0, -x reversed].  That is how pocketfft evaluates a DST-I, so on
+    numpy >= 2 (whose FFTs are pocketfft's) the result is bitwise equal to
+    ``scipy.fft.dst(x, type=1, axis=axis)``.
+
+    Columns are transformed ``DST_BLOCK`` at a time through one reused
+    extension buffer: on wide input, fresh full-size buffers for the
+    extension and its spectrum cost more than the transforms.
+    """
+    x = np.swapaxes(np.asarray(x, dtype=float), axis, 0)
+    cols = x.reshape(x.shape[0], -1)
+    n, m = cols.shape
+    out = np.empty((n, m))
+    ext = np.zeros((2 * n + 2, min(m, DST_BLOCK)))
+    for j in range(0, m, DST_BLOCK):
+        block = cols[:, j:j + DST_BLOCK]
+        e = ext[:, :block.shape[1]]
+        e[1:n + 1] = block
+        np.negative(block[::-1], out=e[n + 2:])
+        np.negative(np.fft.rfft(e, axis=0).imag[1:n + 1], out=out[:, j:j + DST_BLOCK])
+    return np.swapaxes(out.reshape(x.shape), 0, axis)
+
+
 def _dst_coefficients(interior_values: np.ndarray, m: int) -> np.ndarray:
-    # g_n = (2/m) * sum_{j=1}^{m-1} g_j sin(pi*j*n/m); dst type 1 returns
+    # g_n = (2/m) * sum_{j=1}^{m-1} g_j sin(pi*j*n/m); the DST-I returns
     # twice that sum.
-    return dst(interior_values, type=1) / m
+    return dst(interior_values) / m
 
 
 def analyze(g, n_modes: int = 64, *, l: float | None = None,

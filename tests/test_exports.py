@@ -22,15 +22,23 @@ def test_every_submodule_export_resolves(module):
     assert missing == []
 
 
-def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
-    # scipy.signal and scipy.integrate cost most of a cold start; the solvers
-    # use neither on their import path.  linear_solver and nonlinear_solver
-    # import each other, so each is also imported first in a fresh process.
+def _run_fresh(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter on this checkout."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=240, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
+    # importing scipy costs most of a cold start; the solvers' import path is
+    # numpy-only.  linear_solver and nonlinear_solver import each other, so
+    # each is also imported first in a fresh process.
     for imports in (
         "from strip_solver import fd_oracle, green_kernel, linear_solver, nonlinear_solver,"
-        " verification",
+        " spectrum, verification, cli",
         "from strip_solver import nonlinear_solver, linear_solver",
         "from strip_solver import linear_solver, nonlinear_solver",
     ):
@@ -38,10 +46,36 @@ def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
             "import sys\n"
             f"{imports}\n"
             "assert linear_solver.solve_linear and nonlinear_solver.picard_solve\n"
-            "print(sorted(m for m in sys.modules"
-            " if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'integrate'])))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=240, env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]", imports
+        assert _run_fresh(script) == "[]", imports
+
+
+def test_first_oracle_solve_loads_scipy_linalg():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from strip_solver import fd_oracle\n"
+        "from strip_solver.modes import Params\n"
+        "from strip_solver.sources import ZeroSource\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "fd_oracle.oracle_solve(Params(1.0, 1.0, 1.0, np.pi), np.sin, np.zeros_like,"
+        " ZeroSource(), 0.1, fd_oracle.OracleConfig(nx=9, dt=0.05))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    assert _run_fresh(script) == "True"
+
+
+def test_banded_solve_works_before_any_oracle_solve():
+    # the solve loads its LAPACK routine itself; the factor is built by numpy
+    script = (
+        "import numpy as np\n"
+        "from strip_solver import fd_oracle\n"
+        "a = 4.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)\n"
+        "upper = np.linalg.cholesky(a).T\n"
+        "cb = np.vstack([np.r_[0.0, np.diag(upper, 1)], np.diag(upper)])\n"
+        "b = np.arange(1.0, 6.0)\n"
+        "x = fd_oracle.cho_solve_banded((cb, False), b)\n"
+        "print(np.allclose(a @ x, b, rtol=0.0, atol=1e-13))\n"
+    )
+    assert _run_fresh(script) == "True"

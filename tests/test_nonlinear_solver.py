@@ -76,6 +76,27 @@ class TestVolterraConvolve:
         assert errs[0] / errs[1] > 6.0 and errs[1] / errs[2] > 6.0
 
 
+class TestFftConvolve:
+    # scipy serves only as the reference: the solver imports none of it
+    def test_fast_len_matches_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        lengths = [*range(1, 20001), 99_999, 100_000, 100_001, 131_073, 999_999, 1_000_001]
+        assert ([nonlinear_solver._fast_len(n) for n in lengths]
+                == [next_fast_len(n, True) for n in lengths])
+
+    @pytest.mark.parametrize("shape", ((1, 1), (3, 2), (8, 33), (64, 1001), (1, 12001)))
+    def test_bitwise_equal_to_scipy_signal(self, shape):
+        from scipy.signal import fftconvolve as scipy_fftconvolve
+
+        rng = np.random.default_rng(shape)
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(nonlinear_solver.fftconvolve(a, b),
+                              scipy_fftconvolve(a, b, axes=1))
+        assert np.array_equal(nonlinear_solver.fftconvolve(a.T, b.T, axes=0),
+                              scipy_fftconvolve(a.T, b.T, axes=0))
+
+
 class TestPicardSolve:
     def small_problem(self, source, T=5.0):
         return NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
@@ -317,6 +338,13 @@ class TestPicardSolve:
             with pytest.raises(ValueError, match="integer"):
                 PicardConfig(**kwargs)
         assert PicardConfig(nx=np.int64(65)).nx == 65
+
+    def test_config_rejects_fewer_than_one_mode(self):
+        # both used to construct and fail inside the solve
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_modes must be >= 1"):
+                PicardConfig(n_modes=bad)
+        assert PicardConfig(nx=9, n_modes=1).n_modes == 1
 
     def test_apriori_bound_holds(self):
         prob = self.small_problem(SineGordonSource(bias=0.5), T=20.0)

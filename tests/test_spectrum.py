@@ -9,6 +9,7 @@ from strip_solver.spectrum import (
     SineSpectrum,
     analyze,
     constant_coefficients,
+    dst,
     second_derivative,
     synthesize,
 )
@@ -118,6 +119,43 @@ class TestSecondDerivative:
         s = SineSpectrum(l=L, coeffs=np.array([0.0, 1.0]))
         twice = second_derivative(second_derivative(s))
         assert twice.coeffs[1] == pytest.approx(16.0, rel=1e-14)
+
+
+class TestDst:
+    # numpy >= 2 evaluates the DST-I with the same pocketfft real FFT as scipy,
+    # which serves only as the reference here
+    @pytest.mark.parametrize("n", (1, 2, 127, 2047))
+    def test_bitwise_equal_to_scipy(self, n):
+        from scipy.fft import dst as scipy_dst
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        for axis in (0, -1):
+            assert np.array_equal(dst(x, axis=axis), scipy_dst(x, type=1, axis=axis))
+        cols = rng.standard_normal((n, 33))
+        assert np.array_equal(dst(cols, axis=0), scipy_dst(cols, type=1, axis=0))
+        rows = rng.standard_normal((5, n))
+        assert np.array_equal(dst(rows), scipy_dst(rows, type=1))
+        assert np.array_equal(dst(rows, axis=-1), scipy_dst(rows, type=1, axis=-1))
+
+    def test_bitwise_equal_to_scipy_across_column_blocks(self):
+        # 1001 columns: full DST_BLOCK-wide blocks and a narrower last one
+        from scipy.fft import dst as scipy_dst
+
+        rng = np.random.default_rng(1001)
+        wide = rng.standard_normal((127, 1001))
+        assert np.array_equal(dst(wide, axis=0), scipy_dst(wide, type=1, axis=0))
+        cube = rng.standard_normal((9, 31, 7))
+        for axis in (0, 1, -1):
+            assert np.array_equal(dst(cube, axis=axis), scipy_dst(cube, type=1, axis=axis))
+
+    def test_pure_mode(self):
+        # y_k = 2 sum_j sin(pi (j+1)/(N+1)) sin(pi (j+1)(k+1)/(N+1)) = (N+1) delta_k0
+        n = 15
+        x = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
+        y = dst(x)
+        assert y[0] == pytest.approx(n + 1, rel=1e-14)
+        assert np.max(np.abs(y[1:])) < 1e-13
 
 
 class TestTypes:
