@@ -40,7 +40,6 @@ bounds the error.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,8 @@ __all__ = [
 
 # Initial step of the uniform source grid.
 START_STEP = 0.01
+# Halvings of the source grid before AccuracyError is raised.
+MAX_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -71,20 +72,15 @@ class QuadConfig:
 
     ``tol`` bounds the step-halving estimate of the forced part at the
     output times (with its time derivative when the grid asks for it; see
-    the module docstring); the source grid is halved at most ``max_doublings``
-    times before AccuracyError is raised.
+    the module docstring); the source grid is halved at most
+    ``MAX_DOUBLINGS`` times before AccuracyError is raised.
     """
 
     tol: float = 1e-9
-    max_doublings: int = 8
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not isinstance(self.max_doublings, numbers.Integral):
-            raise ValueError(f"max_doublings must be an integer, got {self.max_doublings!r}")
-        if self.max_doublings < 1:
-            raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def _forced(f, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
     fgrid = _sampled(f, dt * np.arange(steps + 1), table.n_modes)
     coarse = _forced_at(f, table, fgrid, dt, t_out, with_dt)
     estimate = math.inf
-    for _ in range(quad.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         steps, dt = 2 * steps, dt / 2.0
         finer = np.empty((table.n_modes, steps + 1))
         finer[:, ::2] = fgrid

@@ -35,10 +35,12 @@ equations are explicit in time and a window is marched block by block
 
 After each window, one full sweep of the marched window with
 ``volterra_convolve`` gives its fixed-point residual, the certificate
-that ``tol`` bounds.  Long horizons are integrated window by window,
-restarting from the end state (u, u_t).  A source that does not depend
-on u goes, as spectra f(t), to ``linear_solver.solve_linear`` on the
-collocation grid, and ``tol`` then bounds its step-halving estimate.
+that ``tol`` bounds.  Long horizons are split into equal windows of at
+most ``window``, which share one set of kernel samples, and integrated
+window by window, restarting from the end state (u, u_t).  A source that
+does not depend on u goes, as spectra f(t), to
+``linear_solver.solve_linear`` on the collocation grid, and ``tol`` then
+bounds its step-halving estimate.
 
 For the biased sine source F = sin(u) - bias, the constant bias is
 expanded with its exact sine coefficients rather than sampled, which
@@ -54,10 +56,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import green_kernel, linear_solver
+from . import linear_solver
 from .errors import NumericalError
 from .fields import Field
-from .modes import Params, kernel_dt_values, kernel_values, mode_table, propagate_state
+from .modes import (
+    ModeTable,
+    Params,
+    classify_modes,
+    kernel_dt_values,
+    kernel_values,
+    mode_table,
+    propagate_state,
+)
 from .sources import (
     AlgebraicSource,
     ExpDecayingSource,
@@ -106,6 +116,8 @@ class PicardConfig:
             raise ValueError("tol must be positive and max_iter >= 1")
         if self.nx < 9 or not 0.0 < self.dt < math.inf or not self.window > 0:
             raise ValueError("invalid collocation grid")
+        if self.window < self.dt:
+            raise ValueError(f"window = {self.window!r} is shorter than dt = {self.dt!r}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if self.n_modes > self.nx - 2:
@@ -413,21 +425,18 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     t_cols, v_cols = [], []
     traces, residuals = [], []
     iterations = 0
-    t0 = 0.0
-    # (length, steps) -> (H, H', block operator) at the window's relative
-    # times; windows of equal length share them
-    kernels = {}
-    while t0 < prob.horizon - 1e-12 * prob.horizon:
-        t1 = min(t0 + cfg.window, prob.horizon)
-        span = t1 - t0
-        steps = max(2, round(span / cfg.dt))
-        t_rel = span * np.arange(steps + 1) / steps
+    # equal windows of at most cfg.window share H, H' and the block operator
+    # at their relative times
+    n_windows = math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12))
+    span = prob.horizon / n_windows
+    steps = max(2, round(span / cfg.dt))
+    t_rel = span * np.arange(steps + 1) / steps
+    dt = span / steps
+    hmat, hdmat = kernel_values(table, t_rel), kernel_dt_values(table, t_rel)
+    block_op = _block_operator(hmat)
+    for k in range(n_windows):
+        t0, t1 = k * span, (k + 1) * span
         t_abs = t0 + t_rel
-        dt = span / steps
-        if (span, steps) not in kernels:
-            hmat = kernel_values(table, t_rel)
-            kernels[span, steps] = (hmat, kernel_dt_values(table, t_rel), _block_operator(hmat))
-        hmat, hdmat, block_op = kernels[span, steps]
         lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
         modal, counts, ok = _march_window(table, hmat, hdmat, block_op, lin, sin_int,
                                           spectra, t_abs, dt, cfg)
@@ -446,7 +455,6 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
         t_cols.append(t_abs[start:])
         v_cols.append(sin_full @ modal[:, start:])
         g0c, g1c = modal[:, -1], modal_dt_end
-        t0 = t1
     values = np.concatenate(v_cols, axis=1)
     t_nodes = np.concatenate(t_cols)
     fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
@@ -456,23 +464,33 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     return fld, report
 
 
-def sine_gordon_apriori_bound(prob: NonlinearProblem, linear_sup: float,
-                              t_probe=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
-                                       10.0, 20.0, 30.0)) -> float:
-    """Bound sup|u| <= sup|u_linear| + l*M*(1+|bias|)/beta for the sine source.
+def _oscillation_excess(table: ModeTable) -> np.ndarray:
+    """(kappa_n - 1)/b_n^2 per mode, with int_0^inf |H_n(t)| dt = kappa_n/b_n^2.
 
-    M is the measured envelope constant sup |G| e^{beta t} over a coarse
-    probe grid; the integral-equation estimate then bounds the source
-    contribution by l*M*(1+|bias|)/beta.
+    A non-oscillatory kernel is non-negative and integrates to 1/b_n^2, so
+    kappa_n = 1.  An oscillatory one, exp(-h t) sin(omega t)/omega, has
+    kappa_n = coth(pi h/(2 omega)), whose excess over 1 is formed here
+    without cancellation as 2 e^{-x}/(1 - e^{-x}), x = pi h/omega.
+    """
+    x = math.pi * table.h / np.where(table.osc, table.omega, 1.0)
+    return np.where(table.osc, 2.0 * np.exp(-x) / -np.expm1(-x), 0.0) / table.b**2
+
+
+def sine_gordon_apriori_bound(prob: NonlinearProblem, linear_sup: float) -> float:
+    """Bound sup|u| <= linear_sup + (1 + |bias|) (4/pi) sum_n kappa_n/b_n^2 for the sine source.
+
+    ``linear_sup`` bounds the linear part |u_linear|.  The rest is the
+    integral term, with |F| <= 1 + |bias|, |sin(gamma_n x)| <= 1 and
+    int_0^l |sin(gamma_n xi)| dxi = 2l/pi, so by Tonelli it is at most
+    (1 + |bias|) (4/pi) sum_n int_0^inf |H_n|.  That sum is
+    sum_n 1/b_n^2 = l^2/(6 c^2) plus the excess of the finitely many
+    oscillatory modes (``_oscillation_excess``), all below n2_star.
     """
     if not isinstance(prob.source, SineGordonSource):
         raise ValueError("a-priori bound applies to the sine source")
+    if not (math.isfinite(linear_sup) and linear_sup >= 0.0):
+        raise ValueError(f"linear_sup must be non-negative and finite, got {linear_sup!r}")
     p = prob.params
-    beta = green_kernel.decay_constants(p).beta
-    xs = np.linspace(0.0, p.l, 9)[1:-1]
-    m_env = 0.0
-    for t in t_probe:
-        for xi in xs:
-            prof = green_kernel.green_profile(p, xs, float(xi), float(t), tol=1e-3)
-            m_env = max(m_env, float(np.max(np.abs(prof))) * math.exp(beta * t))
-    return linear_sup + p.l * m_env * (1.0 + abs(prob.source.bias)) / beta
+    table = mode_table(p, classify_modes(p).n2_star)
+    l1_sum = p.l**2 / (6.0 * p.c**2) + float(np.sum(_oscillation_excess(table)))
+    return linear_sup + (1.0 + abs(prob.source.bias)) * (4.0 / math.pi) * l1_sum

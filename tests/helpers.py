@@ -70,6 +70,26 @@ def kummer_reference(p, x, xi, t, n_terms):
                 "dt": float(-lam * closed + 2 / l * head["dt"])}
 
 
+def kernel_l1_reference(p, n):
+    """int_0^inf |H_n(t)| dt by 20-digit quadrature of the textbook kernel.
+
+    An oscillatory kernel is integrated between its zeros k*pi/omega
+    until exp(-h t) has fallen below 1e-15, which is also the neglected
+    tail's share of the result; the others over [0, 1/h, inf].
+    """
+    with mp.workdps(20):
+        eps, a, c, l = (mp.mpf(v) for v in (p.epsilon, p.a, p.c, p.l))
+        g = n * mp.pi / l
+        b, h = c * g, (a + eps * g**2) / 2
+        kernel = lambda t: abs(_textbook_kernels(eps, a, c, g, t)[0])
+        if h >= b:
+            return float(mp.quad(kernel, [0, 1 / h, mp.inf]))
+        w = mp.sqrt(b * b - h * h)
+        zeros = int(15 * mp.log(10) * w / (h * mp.pi)) + 1
+        return float(mp.quad(kernel, [k * mp.pi / w for k in range(zeros + 1)],
+                             method="gauss-legendre"))
+
+
 def mode_ode_residual(table, t, step, order=2):
     """Central-difference residual of H'' + 2hH' + b^2 H = 0 at time t.
 

@@ -51,6 +51,15 @@ def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
         assert _run_fresh(script) == "[]", imports
 
 
+def test_solver_imports_leave_green_kernel_unloaded():
+    # the sine source's a-priori bound is closed-form: no Green's-series
+    # evaluation sits on the solvers' import path
+    for imports in ("from strip_solver import nonlinear_solver, linear_solver",
+                    "from strip_solver import linear_solver, nonlinear_solver"):
+        script = f"import sys\n{imports}\nprint('strip_solver.green_kernel' in sys.modules)\n"
+        assert _run_fresh(script) == "False", imports
+
+
 def test_first_oracle_solve_loads_scipy_linalg():
     script = (
         "import sys\n"

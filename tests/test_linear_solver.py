@@ -5,6 +5,7 @@ import pytest
 
 from conftest import P_EQ
 from helpers import residual
+from strip_solver import linear_solver
 from strip_solver.errors import AccuracyError
 from strip_solver.green_kernel import decay_constants
 from strip_solver.asymptotics import decay_fit
@@ -85,10 +86,10 @@ class TestForcedResponse:
         out = forced_response(P_EQ, lambda t: mode1(), 2.0, QUAD)
         assert out.coeffs[0] == pytest.approx(1.0 - 3.0 * math.exp(-2.0), abs=1e-11)
 
-    def test_unreachable_tolerance_raises(self):
-        quad = QuadConfig(tol=1e-30, max_doublings=1)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(linear_solver, "MAX_DOUBLINGS", 1)
         with pytest.raises(AccuracyError) as info:
-            forced_response(P_EQ, lambda t: mode1(), 2.0, quad)
+            forced_response(P_EQ, lambda t: mode1(), 2.0, QuadConfig(tol=1e-30))
         assert info.value.estimate is not None
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
@@ -132,19 +133,19 @@ class TestSourceQuadrature:
         assert np.max(np.abs(fld.values - exact)) <= tol
         assert np.max(np.abs(fld.values_dt - exact_dt)) <= tol
 
-    def test_unreachable_tolerance_raises_from_solver(self):
+    def test_unreachable_tolerance_raises_from_solver(self, monkeypatch):
+        monkeypatch.setattr(linear_solver, "MAX_DOUBLINGS", 1)
         prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 3.0)
         grid = GridSpec(x_nodes=np.linspace(0.0, L, 9), t_nodes=np.array([0.7, 3.0]),
                         with_dt=True)
         with pytest.raises(AccuracyError) as info:
-            solve_linear(prob, grid, QuadConfig(tol=1e-30, max_doublings=1))
+            solve_linear(prob, grid, QuadConfig(tol=1e-30))
         assert 1e-30 < info.value.estimate < 1e-3
 
     def test_config_rejects_invalid_controls(self):
-        for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
-                       {"max_doublings": 0}, {"max_doublings": 2.5}):
+        for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                QuadConfig(**kwargs)
+                QuadConfig(tol=tol)
 
 
 class TestSolveLinear:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import P_EQ
-from helpers import residual, sine_gordon_sweep
+from conftest import ALL_PARAM_SETS, P_EQ, P_GTR, P_LESS
+from helpers import kernel_l1_reference, residual, sine_gordon_sweep
 from strip_solver import nonlinear_solver
 from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
 from strip_solver.fields import Field
 from strip_solver.linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
+from strip_solver.modes import mode_table
 from strip_solver.nonlinear_solver import (
     NonlinearProblem,
     PicardConfig,
@@ -189,7 +190,7 @@ class TestPicardSolve:
         fixed = iterated_sweep(prob, fld, n_modes=8, tol=1e-13)
         assert np.max(np.abs(fld.values - fixed.values)) <= 1e-12
 
-    def test_kernels_built_once_per_window_length(self, monkeypatch):
+    def test_kernels_built_once_per_solve(self, monkeypatch):
         calls = []
         for name in ("kernel_values", "kernel_dt_values"):
             original = getattr(nonlinear_solver, name)
@@ -199,11 +200,22 @@ class TestPicardSolve:
                 return _original(*args)
 
             monkeypatch.setattr(nonlinear_solver, name, counted)
-        # windows [0, 1], [1, 2], [2, 3] share a length; [3, 3.5] has its own
+        # T = 3.5 at window 1 is split into four equal windows of 0.875
         prob = self.small_problem(SineGordonSource(bias=0.3), T=3.5)
         _, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=1.0))
-        assert rep.converged and len(rep.window_traces) == 4
-        assert sorted(calls) == ["kernel_dt_values"] * 2 + ["kernel_values"] * 2
+        assert rep.converged
+        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == pytest.approx(
+            [(0.0, 0.875), (0.875, 1.75), (1.75, 2.625), (2.625, 3.5)], abs=1e-15)
+        assert sorted(calls) == ["kernel_dt_values", "kernel_values"]
+
+    def test_horizon_just_past_a_window_leaves_no_sliver(self):
+        # 10.000001 at window 10 is two windows of 5.0000005, not a window
+        # of 10 followed by one of 1e-6 in two 5e-7 steps
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=10.000001)
+        fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.01, n_modes=8, window=10.0))
+        assert rep.converged and len(rep.window_traces) == 2
+        assert fld.t_nodes.size == 1001 and fld.t_nodes[-1] == pytest.approx(10.000001, abs=1e-12)
+        assert np.allclose(np.diff(fld.t_nodes), 0.010000001, rtol=0.0, atol=1e-12)
 
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))
@@ -339,6 +351,12 @@ class TestPicardSolve:
                 PicardConfig(**kwargs)
         assert PicardConfig(nx=np.int64(65)).nx == 65
 
+    def test_config_rejects_window_shorter_than_dt(self):
+        # it used to march 20 windows of 0.05 at dt 0.025 over T = 1
+        with pytest.raises(ValueError, match="shorter than dt"):
+            PicardConfig(dt=0.1, window=0.05)
+        assert PicardConfig(dt=0.1, window=0.1).window == 0.1
+
     def test_config_rejects_fewer_than_one_mode(self):
         # both used to construct and fail inside the solve
         for bad in (0, -3):
@@ -355,6 +373,44 @@ class TestPicardSolve:
         lin = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 20.0), grid)
         bound = sine_gordon_apriori_bound(prob, float(np.max(np.abs(lin.values))))
         assert float(np.max(np.abs(fld.values))) < bound
+
+
+class TestAprioriBound:
+    """The sine source's bound linear_sup + (1 + |bias|) (4/pi) sum_n kappa_n/b_n^2."""
+
+    def problem(self, p, bias=0.0):
+        return NonlinearProblem(params=p, g0=spec([0.1]), g1=spec([0.0]),
+                                source=SineGordonSource(bias=bias), horizon=1.0)
+
+    @pytest.mark.parametrize("p", ALL_PARAM_SETS)
+    def test_kernel_l1_norms_match_quadrature(self, p):
+        # modes 1..24 cover P_GTR's 19 oscillatory modes and its upper band edge
+        table = mode_table(p, 24)
+        ours = 1.0 / table.b**2 + nonlinear_solver._oscillation_excess(table)
+        reference = np.array([kernel_l1_reference(p, n) for n in range(1, 25)])
+        assert np.max(np.abs(ours / reference - 1.0)) <= 1e-12
+
+    def test_constant_without_oscillatory_modes(self):
+        # l = pi, c = 1 and no oscillatory mode: (4/pi) * pi^2/6 = 2 pi/3
+        for p in (P_LESS, P_EQ):
+            assert sine_gordon_apriori_bound(self.problem(p), 0.0) == pytest.approx(
+                2.0 * math.pi / 3.0, rel=1e-15)
+        bound = sine_gordon_apriori_bound(self.problem(P_EQ, bias=0.5), 0.1)
+        assert bound == pytest.approx(0.1 + 1.5 * 2.0 * math.pi / 3.0, rel=1e-15)
+
+    def test_constant_includes_oscillatory_excess(self):
+        assert int(np.sum(mode_table(P_GTR, 40).osc)) == 19
+        assert sine_gordon_apriori_bound(self.problem(P_GTR), 0.0) == pytest.approx(
+            11.00203, abs=1e-5)
+
+    def test_rejects_invalid_input(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="linear_sup"):
+                sine_gordon_apriori_bound(self.problem(P_EQ), bad)
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                source=ZeroSource(), horizon=1.0)
+        with pytest.raises(ValueError, match="sine source"):
+            sine_gordon_apriori_bound(prob, 0.0)
 
 
 class TestSourceFailure:
