@@ -263,6 +263,8 @@ def _cmd_solve_linear(args):
     from .linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 
     p = _params(args)
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise UsageError(f"horizon T must be positive and finite, got {args.T}")
     grid = GridSpec(x_nodes=np.linspace(0.0, p.l, args.nx),
                     t_nodes=np.linspace(0.0, args.T, args.nt), with_dt=args.with_dt)
     g0 = _profile(args.g0, args.g0_scale, p, args.n_modes)

@@ -44,7 +44,11 @@ DST_BLOCK = 64
 
 @dataclass(frozen=True)
 class SineSpectrum:
-    """Coefficients g_n, n = 1..N, of a sine series on (0, l)."""
+    """Coefficients g_n, n = 1..N, of a sine series on (0, l).
+
+    ``coeffs`` is a read-only float copy of the input, which must be real,
+    finite, 1-D and non-empty.
+    """
 
     l: float
     coeffs: np.ndarray
@@ -52,13 +56,16 @@ class SineSpectrum:
     def __post_init__(self):
         if not (math.isfinite(self.l) and self.l > 0):
             raise ValueError(f"length must be positive, got {self.l!r}")
-        c = np.asarray(self.coeffs, dtype=float)
+        if np.asarray(self.coeffs).dtype.kind == "c":
+            raise ValueError("coefficients must be real")
+        c = np.array(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
-        if not np.all(np.isfinite(c)):
+        # a finite sum of squares has only finite terms; the exact check
+        # runs only when that sum is not finite (it overflows past ~1e154)
+        if not (math.isfinite(c.dot(c)) or np.isfinite(c).all()):
             raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @property

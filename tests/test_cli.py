@@ -189,6 +189,13 @@ class TestInputErrors:
         self.assert_usage_error(res)
         assert "horizon" in res.stderr
 
+    @pytest.mark.parametrize("T", ["inf", "nan", "-1"])
+    def test_solve_linear_bad_horizon(self, run_cli, T):
+        res = run_cli("solve-linear", "--T", T, "--nx", "5", "--nt", "3")
+        self.assert_usage_error(res)
+        assert "horizon T must be positive and finite" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
+
     def test_oracle_infinite_horizon(self, run_cli):
         res = run_cli("oracle", "--T", "inf", "--nx", "15")
         self.assert_usage_error(res)

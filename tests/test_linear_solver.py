@@ -18,7 +18,7 @@ from strip_solver.linear_solver import (
     solve_linear,
 )
 from strip_solver.profiles import make_profile
-from strip_solver.spectrum import SineSpectrum, analyze, synthesize
+from strip_solver.spectrum import SineSpectrum, analyze, pad_modes, synthesize
 
 L = math.pi
 QUAD = QuadConfig(tol=1e-12)
@@ -92,6 +92,11 @@ class TestForcedResponse:
             forced_response(P_EQ, lambda t: mode1(), 2.0, QuadConfig(tol=1e-30))
         assert info.value.estimate is not None
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_rejects_negative_or_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            forced_response(P_EQ, lambda t: mode1(), t, QUAD)
+
     @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
     def test_unresolved_fast_modes_meet_tolerance(self, tol):
         # mode 64 decays at dp ~ 4096, unresolved by the first grids; its
@@ -118,7 +123,31 @@ class TestSourceQuadrature:
         prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 40.0)
         grid = GridSpec(x_nodes=np.linspace(0.0, L, 33), t_nodes=np.linspace(0.5, 40.0, 80))
         solve_linear(prob, grid, QuadConfig(tol=1e-10))
-        assert len(calls) <= 20_000
+        # f(0) sizes the mode table; the grid of 4,001 nodes is halved once
+        assert len(calls) == 8_002
+        assert all(type(t) is float for t in calls)
+        assert len(set(calls[1:])) == len(calls) - 1
+
+    @pytest.mark.parametrize("lengths", [(3,), (1, 3, 5), (2, 4)])
+    def test_sampled_gathers_spectra_of_any_length(self, lengths):
+        # more than two chunks; spectra shorter than, equal to and longer
+        # than the 3-mode table, their length and values varying with t
+        n_modes = 3
+        taus = np.linspace(0.0, 2.0, 2 * linear_solver.SAMPLE_CHUNK + 277)
+        size = {t: lengths[j % len(lengths)] for j, t in enumerate(taus.tolist())}
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return SineSpectrum(l=L, coeffs=np.cos(t * np.arange(1.0, size[t] + 1.0)))
+
+        got = linear_solver._sampled(f, taus, n_modes)
+        assert calls == taus.tolist() and all(type(t) is float for t in calls)
+        expected = np.empty((n_modes, taus.size))
+        for j, t in enumerate(taus):
+            expected[:, j] = pad_modes(f(float(t)).coeffs, n_modes)
+        assert got.flags.c_contiguous and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
     def test_constant_source_off_grid_times(self):
         tol = 1e-10
@@ -241,6 +270,11 @@ class TestSolveLinear:
                 GridSpec(x_nodes=xs, t_nodes=np.array([0.0, bad]))
             with pytest.raises(ValueError, match="finite"):
                 GridSpec(x_nodes=xs, t_nodes=np.array([bad]))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_non_positive_or_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            LinearProblem(P_EQ, zero_spec(), zero_spec(), None, horizon)
 
     def test_rejects_mismatched_length(self):
         bad = SineSpectrum(l=1.0, coeffs=np.array([1.0]))

@@ -172,9 +172,65 @@ class TestTypes:
         with pytest.raises(ValueError):
             SineSpectrum(l=L, coeffs=np.array([math.inf]))
 
+    def test_spectrum_rejects_complex_coefficients(self):
+        for coeffs in (np.array([1.0 + 2.0j]), np.array([1.0 + 0.0j, 2.0]), [0.5, 1j]):
+            with pytest.raises(ValueError, match="real"):
+                SineSpectrum(l=L, coeffs=coeffs)
+
     def test_constant_coefficients_match_quadrature(self):
         exact = constant_coefficients(1.0, L, 8)
         with pytest.warns(UserWarning):
             via_dst = analyze(lambda x: np.ones_like(x), 8, l=L, num_points=16385)
         assert np.max(np.abs(exact - via_dst.coeffs)) < 1e-3
         assert exact[1] == 0.0 and exact[0] == pytest.approx(4 / math.pi)
+
+
+class TestSpectrumContract:
+    """What the fast finiteness check in ``SineSpectrum`` must keep."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_non_finite_anywhere(self, bad, where):
+        coeffs = np.arange(1.0, 6.0)
+        coeffs[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SineSpectrum(l=L, coeffs=coeffs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_single_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SineSpectrum(l=L, coeffs=np.array([bad]))
+
+    def test_rejects_infinities_whose_sum_is_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            SineSpectrum(l=L, coeffs=np.array([math.inf, -math.inf]))
+
+    # the fast check's sum of squares overflows, and numpy says so
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_accepts_finite_coefficients_whose_sum_overflows(self):
+        s = SineSpectrum(l=L, coeffs=np.array([1e308, 1e308]))
+        assert np.all(s.coeffs == 1e308)
+        assert SineSpectrum(l=L, coeffs=np.array([-1e200, 1e200])).coeffs[1] == 1e200
+
+    def test_copies_its_input(self):
+        data = np.array([1.0, 2.0, 3.0])
+        s = SineSpectrum(l=L, coeffs=data)
+        data[1] = -7.0
+        assert list(s.coeffs) == [1.0, 2.0, 3.0]
+
+    def test_coefficients_are_read_only(self):
+        s = SineSpectrum(l=L, coeffs=np.array([1.0, 2.0]))
+        assert not s.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize("coeffs", [[1, 2, 3], np.array([1, 2, 3]), (1.0, 2.0, 3.0)])
+    def test_accepts_lists_and_integer_arrays(self, coeffs):
+        s = SineSpectrum(l=L, coeffs=coeffs)
+        assert s.coeffs.dtype == np.float64
+        assert list(s.coeffs) == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("coeffs", [np.array(1.0), np.ones((2, 2)), np.array([]), []])
+    def test_rejects_wrong_shape(self, coeffs):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            SineSpectrum(l=L, coeffs=coeffs)
