@@ -179,28 +179,39 @@ def term_bounds(table: ModeTable, p: Params, t: float, kind: str = "green") -> n
     return np.where(table.over, np.minimum(split, fallback), out)
 
 
-def _gauss_tail(sigma: float, t: float, n0: int) -> float:
-    """Bound on sum_{n > n0} exp(-sigma*n^2*t), the envelope of the fast parts."""
+# The tail bounds below are builders: ``bound = _closed_tail(p, t, kind)``
+# computes every constant of the bound once, and ``bound(n0)`` then costs a
+# few float operations, so the depth search of a plan pays for its constants
+# once, not once per probed depth.
+
+def _gauss_tail(sigma: float, t: float):
+    """Bound n0 -> sum_{n > n0} exp(-sigma*n^2*t), the envelope of the fast parts."""
     st = sigma * t
-    return math.exp(-st * n0**2) / (2.0 * st * n0) if st * n0**2 < 745 else 0.0
+
+    def bound(n0: int) -> float:
+        n0_sq = n0**2
+        return math.exp(-st * n0_sq) / (2.0 * st * n0) if st * n0_sq < 745 else 0.0
+
+    return bound
 
 
-def _closed_tail(p: Params, t: float, kind: str, n0: int) -> float:
-    """Bound on the series tail beyond n0, all such modes overdamped with
+def _closed_tail(p: Params, t: float, kind: str):
+    """Bound n0 -> the series tail beyond n0, all such modes overdamped with
     (b/h)^2 <= CHAIN_K: the sum over n > n0 of ``term_bounds``."""
     rk, sigma, e_p = _chain(p, t)
     c2 = p.c**2
-    gauss = _gauss_tail(sigma, t, n0)
+    gauss = _gauss_tail(sigma, t)
     if kind == "green":
-        return (rk / sigma) * e_p / n0
+        slow = (rk / sigma) * e_p
+        return lambda n0: slow / n0
     if kind == "dt":
-        slow = (2.0 * c2 / p.epsilon) * (rk / (2.0 * sigma)) * e_p / n0
-        fast = 0.5 * (rk + 1.0) * gauss
-        return slow + fast
+        slow = (2.0 * c2 / p.epsilon) * (rk / (2.0 * sigma)) * e_p
+        fast = 0.5 * (rk + 1.0)
+        return lambda n0: slow / n0 + fast * gauss(n0)
     c_f = c2 * (p.a / sigma + c2 * math.pi**2 / (p.l**2 * sigma**2))
-    slow = c_f * rk / (2.0 * sigma) * e_p / (3.0 * n0**3)
-    fast = rk * (c2 / (2.0 * sigma) + p.epsilon) * gauss
-    return slow + fast
+    slow = c_f * rk / (2.0 * sigma) * e_p
+    fast = rk * (c2 / (2.0 * sigma) + p.epsilon)
+    return lambda n0: slow / (3.0 * n0**3) + fast * gauss(n0)
 
 
 def _search_depth(tail, t: float, tol: float, kind: str) -> TruncationPlan:
@@ -249,10 +260,11 @@ def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> 
     head_table = mode_table(p, n_free - 1) if n_free > 1 else None
     head_bounds = term_bounds(head_table, p, t, kind) if head_table is not None else None
     two_over_l = 2.0 / p.l
+    closed_tail = _closed_tail(p, t, kind)
 
     def tail(n: int) -> float:
         n0 = max(n, n_free - 1, 1)
-        total = _closed_tail(p, t, kind, n0)
+        total = closed_tail(n0)
         if n < n_free - 1:
             total += float(np.sum(head_bounds[n:]))
         return two_over_l * total
@@ -260,8 +272,8 @@ def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> 
     return _search_depth(tail, t, tol, kind)
 
 
-def _remainder_tail(p: Params, t: float, kind: str, n0: int) -> float:
-    """Bound on sum_{n > n0} |r_n(t)|, the remainders of G ("green") or G_t
+def _remainder_tail(p: Params, t: float, kind: str):
+    """Bound n0 -> sum_{n > n0} |r_n(t)|, the remainders of G ("green") or G_t
     ("dt") after subtracting the asymptote, all such modes overdamped with
     (b/h)^2 <= CHAIN_K.
 
@@ -288,13 +300,14 @@ def _remainder_tail(p: Params, t: float, kind: str, n0: int) -> float:
     lam = c2 / eps
     shift = 2.0 * c2 * max(2.0 * lam, p.a) / ((1.0 + 1.0 / rk) * eps**2)
     off = rk * max(4.0 * lam, p.a) / eps**2
-    quartic = (p.l / math.pi) ** 4 / (3.0 * n0**3)
-    gauss = _gauss_tail(sigma, t, n0)
+    l_pi4 = (p.l / math.pi) ** 4
+    gauss = _gauss_tail(sigma, t)
     if kind == "green":
         slow = (t * shift * rk / eps + off) * e_p
-        return slow * quartic + rk / (2.0 * sigma * n0**2) * gauss
+        return lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + rk / (2.0 * sigma * n0**2) * gauss(n0)
     slow = (max(1.0, 2.0 * lam * t) * shift * rk / eps + lam * off) * e_p
-    return slow * quartic + 0.5 * (rk + 1.0) * gauss
+    fast = 0.5 * (rk + 1.0)
+    return lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + fast * gauss(n0)
 
 
 def _asymptote_factor(p: Params, t: float, kind: str) -> float:
@@ -319,11 +332,13 @@ def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") ->
     if kind == "flux":
         return plan_truncation(p, t, tol, kind=kind)
     n_min = max(_free_depth(p) - 1, 1)
+    two_over_l = 2.0 / p.l
+    remainder_tail = _remainder_tail(p, t, kind)
 
     def tail(n: int) -> float:
         if n < n_min:
             return math.inf
-        return (2.0 / p.l) * _remainder_tail(p, t, kind, n)
+        return two_over_l * remainder_tail(n)
 
     return _search_depth(tail, t, tol, kind)
 
@@ -345,13 +360,14 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     xi, t = float(xi), float(t)
     _check_request(t, tol, kind)
-    if not (np.all((xs >= 0) & (xs <= p.l)) and 0 <= xi <= p.l):  # also rejects NaN
+    if not (((xs >= 0.0) & (xs <= p.l)).all() and 0.0 <= xi <= p.l):  # also rejects NaN
         raise ValueError("x and xi must lie in [0, l]")
-    out = np.zeros_like(xs)
+    out = np.zeros(xs.shape)
     if xi == 0.0 or xi == p.l:
         return out
     interior = (xs != 0.0) & (xs != p.l)
-    if not np.any(interior):
+    x = xs[interior]
+    if not x.size:
         return out
     n = n_terms if n_terms is not None else plan_accelerated(p, t, tol, kind=kind).n_terms
     table = mode_table(p, n)
@@ -363,10 +379,9 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
         vals = flux_values(table, t)
     asym = _asymptote_factor(p, t, kind) / p.epsilon
     weights = (vals - asym / table.gamma**2) * np.sin(table.gamma * xi)
-    x = xs[interior]
     closed = asym * np.minimum(x, xi) * (p.l - np.maximum(x, xi)) / p.l
     step = max(1, SYNTH_ELEMS // x.size)
-    head = sum(np.sin(np.outer(x, table.gamma[i:i + step])) @ weights[i:i + step]
+    head = sum(np.sin(x[:, None] * table.gamma[None, i:i + step]) @ weights[i:i + step]
                for i in range(0, n, step))
     out[interior] = closed + (2.0 / p.l) * head
     return out

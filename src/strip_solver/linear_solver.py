@@ -127,16 +127,21 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite")
 
 
-def _sampled(f, taus: np.ndarray, n_modes: int) -> np.ndarray:
+def _sampled(f, taus: np.ndarray, n_modes: int, first=None) -> np.ndarray:
     """Source spectra f(tau) as columns, padded or cut to n_modes.
 
-    ``f`` is called once per node, in order, with a Python float.  The
-    spectra are gathered ``SAMPLE_CHUNK`` at a time and copied into their
-    columns by one concatenation, so neither all spectra nor all times as
-    floats are held at once.
+    ``f`` is called once per node, in order, with a Python float; ``first``,
+    when given, is the spectrum f(taus[0]) already computed, and that node
+    is not sampled again.  The spectra are gathered ``SAMPLE_CHUNK`` at a
+    time and copied into their columns by one concatenation, so neither all
+    spectra nor all times as floats are held at once.
     """
     out = np.empty((n_modes, taus.size))
-    for start in range(0, taus.size, SAMPLE_CHUNK):
+    begin = 0
+    if first is not None:
+        out[:, 0] = pad_modes(first.coeffs, n_modes)
+        begin = 1
+    for start in range(begin, taus.size, SAMPLE_CHUNK):
         coeffs = [f(tau).coeffs for tau in taus[start:start + SAMPLE_CHUNK].tolist()]
         rows = np.concatenate([c if c.size == n_modes else pad_modes(c, n_modes)
                                for c in coeffs])
@@ -176,16 +181,19 @@ def _forced_at(f, table: ModeTable, fgrid: np.ndarray, dt: float,
     return u, (du if with_dt else None)
 
 
-def _forced(f, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
+def _forced(f, f0, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
             with_dt: bool):
-    """Forced part (U, U' or None) at t_out, refined by step halving."""
+    """Forced part (U, U' or None) at t_out, refined by step halving.
+
+    ``f0`` is the spectrum f(0.0), node 0 of every source grid.
+    """
     horizon = float(np.max(t_out))
     if horizon == 0.0:
         zero = np.zeros((table.n_modes, t_out.size))
         return zero, (zero.copy() if with_dt else None)
     steps = math.ceil(horizon / START_STEP)
     dt = horizon / steps
-    fgrid = _sampled(f, dt * np.arange(steps + 1), table.n_modes)
+    fgrid = _sampled(f, dt * np.arange(steps + 1), table.n_modes, first=f0)
     coarse = _forced_at(f, table, fgrid, dt, t_out, with_dt)
     estimate = math.inf
     for _ in range(MAX_DOUBLINGS):
@@ -216,8 +224,9 @@ def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig()) -> 
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"time must be non-negative and finite, got {t}")
-    table = mode_table(p, np.asarray(f(0.0).coeffs).size)
-    coeffs, _ = _forced(f, table, np.array([float(t)]), quad, with_dt=False)
+    f0 = f(0.0)
+    table = mode_table(p, np.asarray(f0.coeffs).size)
+    coeffs, _ = _forced(f, f0, table, np.array([float(t)]), quad, with_dt=False)
     return SineSpectrum(l=p.l, coeffs=coeffs[:, 0])
 
 
@@ -231,8 +240,10 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     """
     p = prob.params
     n = prob.n_modes
+    f0 = None
     if prob.f is not None:
-        n = max(n, np.asarray(prob.f(0.0).coeffs).size)
+        f0 = prob.f(0.0)
+        n = max(n, np.asarray(f0.coeffs).size)
     table = mode_table(p, n)
     g0c = pad_modes(prob.g0.coeffs, n)[:, None]
     g1c = pad_modes(prob.g1.coeffs, n)[:, None]
@@ -245,7 +256,7 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     coeffs, dt_coeffs = propagate_state(table, g0c, g1c, kernel_values(table, ts),
                                         kernel_dt_values(table, ts))
     if prob.f is not None:
-        uf, uf_dt = _forced(prob.f, table, ts, quad, grid.with_dt)
+        uf, uf_dt = _forced(prob.f, f0, table, ts, quad, grid.with_dt)
         coeffs = coeffs - uf
         if grid.with_dt:
             dt_coeffs = dt_coeffs - uf_dt

@@ -27,6 +27,7 @@ H'(0) = 1 exact in every regime.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,9 @@ class ModeTable:
 
 
 def mode_table(p: Params, n_max: int) -> ModeTable:
-    """Mode quantities for n = 1..n_max as arrays."""
+    """Mode quantities for n = 1..n_max as arrays; n_max is an integer >= 1."""
+    if not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     n_idx = np.arange(1, n_max + 1, dtype=float)
@@ -211,10 +214,41 @@ def _kernel_core(table: ModeTable, t, kind: str):
     overdamped ones.  Each branch evaluates its formula only on the
     elements it owns: it gets ``col``, which maps a per-mode table array to
     those elements, and their times ``tt``.
+
+    A scalar t takes its own path, which pays no per-element dispatch: the
+    branch masks are per mode (1-D), each branch gathers its modes' table
+    entries with one boolean index and takes t as a Python float, a branch
+    that owns no mode is skipped, and one that owns every mode gathers
+    nothing and its values are returned as they are.  A time array builds
+    (mode, time) masks and broadcasts the table columns against the times
+    (``_kernel_grid``).  Both paths apply the same operations to every
+    element, so a scalar t gives bitwise the column of the same t in an
+    array.
     """
-    tt = np.asarray(t, dtype=float)
-    scalar_t = tt.ndim == 0
-    tt = np.atleast_1d(tt)
+    if not isinstance(t, (float, int)):  # np.float64 is a float
+        tt = np.asarray(t, dtype=float)
+        if tt.ndim:
+            return _kernel_grid(table, tt, kind)
+    t = float(t)
+    if not 0.0 <= t < math.inf:  # also rejects NaN
+        raise ValueError(f"time must be non-negative and finite, got {t}")
+    small = table.omega * t < SERIES_SWITCH
+    # critical modes (omega = 0) are always small, so the modes left over
+    # are oscillatory or overdamped
+    large = ~small
+    out = np.empty(small.size)
+    for mask, branch in ((small, _maclaurin), (table.osc & large, _oscillatory),
+                         (table.over & large, _overdamped)):
+        owned = np.count_nonzero(mask)
+        if owned == mask.size:  # the masks are disjoint: no other branch owns a mode
+            return branch(table, lambda v: v, t, kind)
+        if owned:
+            out[mask] = branch(table, lambda v, m=mask: v[m], t, kind)
+    return out
+
+
+def _kernel_grid(table: ModeTable, tt: np.ndarray, kind: str):
+    """``_kernel_core`` on a 1-D array of times: (mode, time) masks."""
     valid = (tt >= 0.0) & (tt < np.inf)  # also rejects NaN
     if not valid.all():
         raise ValueError(f"time must be non-negative and finite, got {tt[~valid][0]}")
@@ -229,7 +263,7 @@ def _kernel_core(table: ModeTable, t, kind: str):
         elif mask.any():
             out[mask] = branch(table, lambda v, m=mask: np.broadcast_to(v[:, None], shape)[m],
                                np.broadcast_to(tt, shape)[mask], kind)
-    return out[:, 0] if scalar_t else out
+    return out
 
 
 def kernel_values(table: ModeTable, t):

@@ -205,6 +205,23 @@ class TestStepFailure:
         assert info.value.t == pytest.approx(max(t_bad, 0.05))
 
 
+class TestFiniteCheck:
+    def test_non_finite_entry_anywhere_is_caught(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for pos in (0, 31, 62):
+                v = np.linspace(-1.0, 1.0, 63)
+                v[pos] = bad
+                assert not fd_oracle._finite(v)
+        assert not fd_oracle._finite(np.array([math.inf, -math.inf]))
+        assert fd_oracle._finite(np.linspace(-1.0, 1.0, 63))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_entries_pass(self):
+        # the sum of squares overflows here, and the exact check decides
+        assert fd_oracle._finite(np.array([1e200, -1e300, 1.0]))
+        assert fd_oracle._finite(np.full(63, 1.7e308))
+
+
 class TestBandedSolve:
     @pytest.mark.parametrize("nx", [8, 63, 127])
     def test_lean_solve_equals_scipy(self, nx, monkeypatch):

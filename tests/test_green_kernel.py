@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,13 @@ from strip_solver.modes import (
 # (2/pi) * (5/4 * e^-1 - sum_{odd n >= 3} e^{-n^2}/(n^2 - 1)), the slow parts
 # telescoping to e^-1/4
 G_CENTER_T1 = 0.29273933698105422
+
+# plans on perfbench's green-series parameter sets and tolerances at ten
+# times each, as [planner, kind, t, n_terms, tail_bound] (the flux's
+# plan_accelerated is its plan_truncation); a change to the planning code
+# that keeps the bounds must reproduce them bit for bit
+PLAN_PINS = json.loads((Path(__file__).parent / "data" / "truncation_plans.json").read_text())
+PIN_SETS = {"less": P_LESS, "eq": P_EQ, "gtr": P_GTR}
 
 
 class TestDecayConstants:
@@ -97,6 +106,19 @@ class TestTruncationPlan:
                     green_profile(p, [1.0], 1.0, t, kind=kind, tol=tol, n_terms=8)
 
 
+class TestPinnedPlans:
+    @pytest.mark.parametrize("name", sorted(PIN_SETS))
+    def test_plans_equal_recorded_ones_bitwise(self, name):
+        p, pins = PIN_SETS[name], PLAN_PINS[name]
+        planners = {"plan_accelerated": plan_accelerated, "plan_truncation": plan_truncation}
+        assert len(pins["plans"]) == 50
+        for planner, kind, t, n_terms, tail_bound in pins["plans"]:
+            plan = planners[planner](p, t, pins["tol"], kind=kind)
+            assert (plan.n_terms, plan.tail_bound) == (n_terms, tail_bound), (planner, kind, t)
+            if kind == "flux":
+                assert plan_accelerated(p, t, pins["tol"], kind=kind) == plan
+
+
 class TestGreenEval:
     def test_boundary_exact(self):
         for x, xi in ((0.0, 1.0), (math.pi, 1.0), (1.0, 0.0), (1.0, math.pi)):
@@ -127,6 +149,45 @@ class TestGreenEval:
         for x, xi in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(ValueError):
                 green_profile(P_EQ, [x], xi, 1.0)
+
+
+class TestProfileEdges:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_xs_gives_empty_profile(self, kind):
+        for xs in ([], np.empty(0)):
+            prof = green_profile(P_EQ, xs, 1.0, 0.5, kind=kind)
+            assert prof.shape == (0,) and prof.dtype == float
+        assert green_profile(P_EQ, [], 0.0, 0.5, kind=kind).shape == (0,)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_x_raises(self, kind):
+        for xs in ([math.nan], [1.0, math.nan], [0.0, math.nan, math.pi]):
+            with pytest.raises(ValueError):
+                green_profile(P_EQ, xs, 1.0, 0.5, kind=kind)
+            with pytest.raises(ValueError):
+                green_profile(P_EQ, xs, 1.0, 0.5, kind=kind, n_terms=8)
+        with pytest.raises(ValueError):
+            green_profile(P_EQ, [1.0], math.nan, 0.5, kind=kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", ALL_PARAM_SETS)
+    def test_boundary_points_are_zero_next_to_interior_ones(self, p, kind):
+        xs = np.array([0.0, 0.4 * p.l, p.l, 0.7 * p.l, 0.0])
+        prof = green_profile(p, xs, 0.3 * p.l, 0.6, kind=kind, tol=1e-4)
+        assert prof[0] == prof[2] == prof[4] == 0.0
+        assert np.all(prof[[1, 3]] != 0.0)
+        alone = green_profile(p, xs[[1, 3]], 0.3 * p.l, 0.6, kind=kind, tol=1e-4)
+        assert alone.tobytes() == prof[[1, 3]].tobytes()
+        for xi in (0.0, p.l):
+            assert np.all(green_profile(p, xs, xi, 0.6, kind=kind, tol=1e-4) == 0.0)
+        assert np.all(green_profile(p, [0.0, p.l], 0.3 * p.l, 0.6, kind=kind) == 0.0)
+
+    def test_non_integer_depth_raises(self):
+        for n_terms in (2.5, 8.0, 0, -3):
+            with pytest.raises(ValueError):
+                green_profile(P_EQ, [1.0], 1.3, 0.5, n_terms=n_terms)
+        for n_terms in (8, np.int64(8)):
+            assert green_profile(P_EQ, [1.0], 1.3, 0.5, n_terms=n_terms).shape == (1,)
 
 
 class TestDerivativeAndFlux:
@@ -195,8 +256,9 @@ class TestAcceleratedSeries:
             table = mode_table(p, 10 * max(depths) + 100)
             asym = (1.0 if kind == "green" else -lam) * math.exp(-lam * t) / p.epsilon
             rem = np.abs(values(table, t) - asym / table.gamma**2)
+            tail = _remainder_tail(p, t, kind)
             for n in depths:
-                bound = 2.0 / p.l * _remainder_tail(p, t, kind, n)
+                bound = 2.0 / p.l * tail(n)
                 direct = np.sum(rem[n:]) * 2.0 / p.l
                 assert direct <= bound, (t, n, direct, bound)
 

@@ -92,6 +92,16 @@ class TestForcedResponse:
             forced_response(P_EQ, lambda t: mode1(), 2.0, QuadConfig(tol=1e-30))
         assert info.value.estimate is not None
 
+    def test_samples_time_zero_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return mode1()
+
+        forced_response(P_EQ, f, 0.73, QUAD)
+        assert calls[0] == 0.0 and calls.count(0.0) == 1
+
     @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
     def test_rejects_negative_or_non_finite_time(self, t):
         with pytest.raises(ValueError, match="non-negative and finite"):
@@ -123,10 +133,11 @@ class TestSourceQuadrature:
         prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 40.0)
         grid = GridSpec(x_nodes=np.linspace(0.0, L, 33), t_nodes=np.linspace(0.5, 40.0, 80))
         solve_linear(prob, grid, QuadConfig(tol=1e-10))
-        # f(0) sizes the mode table; the grid of 4,001 nodes is halved once
-        assert len(calls) == 8_002
+        # the grid of 4,001 nodes is halved once; f(0), which sizes the mode
+        # table, is also its node 0
+        assert len(calls) == 8_001
         assert all(type(t) is float for t in calls)
-        assert len(set(calls[1:])) == len(calls) - 1
+        assert calls[0] == 0.0 and len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("lengths", [(3,), (1, 3, 5), (2, 4)])
     def test_sampled_gathers_spectra_of_any_length(self, lengths):
@@ -148,6 +159,12 @@ class TestSourceQuadrature:
             expected[:, j] = pad_modes(f(float(t)).coeffs, n_modes)
         assert got.flags.c_contiguous and got.shape == expected.shape
         assert np.array_equal(got, expected)
+        # a known first spectrum stands for node 0, which is not sampled again
+        first = f(0.0)
+        calls.clear()
+        reused = linear_solver._sampled(f, taus, n_modes, first=first)
+        assert calls == taus.tolist()[1:]
+        assert reused.tobytes() == got.tobytes()
 
     def test_constant_source_off_grid_times(self):
         tol = 1e-10

@@ -54,6 +54,18 @@ class TestModeParams:
         with pytest.raises(ValueError):
             mode_table(P_EQ, 0)
 
+    def test_rejects_non_integer_index(self):
+        # 2.5 used to build 3 modes silently
+        for n_max in (2.5, 3.0, np.float64(3.0), "3", None, math.nan):
+            with pytest.raises(ValueError):
+                mode_table(P_EQ, n_max)
+
+    def test_accepts_numpy_integers(self):
+        ref = mode_table(P_EQ, 5)
+        for n_max in (np.int64(5), np.int32(5), np.uint8(5)):
+            table = mode_table(P_EQ, n_max)
+            assert table.n_modes == 5 and np.array_equal(table.b, ref.b)
+
     @pytest.mark.parametrize("p", ALL_PARAM_SETS)
     def test_invariants_over_range(self, p):
         t = mode_table(p, 47)
