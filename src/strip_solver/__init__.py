@@ -28,10 +28,8 @@ _EXPORTS = {
     "classify_modes": "modes",
     "propagate_state": "modes",
     "SineSpectrum": "spectrum",
-    "SampledFunction": "spectrum",
     "analyze": "spectrum",
     "synthesize": "spectrum",
-    "second_derivative": "spectrum",
     "DecayConstants": "green_kernel",
     "TruncationPlan": "green_kernel",
     "decay_constants": "green_kernel",

@@ -239,6 +239,9 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     the per-mode derivative identities (no finite differencing).
     """
     p = prob.params
+    # x_nodes increase strictly, so their ends bound them
+    if grid.x_nodes[0] < 0 or grid.x_nodes[-1] > p.l:
+        raise ValueError("grid x nodes must lie in [0, l]")
     n = prob.n_modes
     f0 = None
     if prob.f is not None:

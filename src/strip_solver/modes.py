@@ -133,13 +133,14 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     gamma = n_idx * (math.pi / p.l)
     b = p.c * gamma
     h = 0.5 * (p.a + p.epsilon * gamma**2)
-    crit = np.abs(h - b) <= CRITICAL_REL_TOL * h
+    gap = h - b
+    crit = np.abs(gap) <= CRITICAL_REL_TOL * h
     osc = (b > h) & ~crit
     over = ~(osc | crit)
-    omega = np.where(crit, 0.0, np.sqrt(np.abs((h - b) * (h + b))))
+    omega = np.where(crit, 0.0, np.sqrt(np.abs(gap * (h + b))))
     sign = np.where(osc, -1.0, 1.0)
-    dm = np.where(over, b * b / (h + omega), h)
     dp = h + omega
+    dm = np.where(over, b * b / dp, h)
     return ModeTable(
         epsilon=p.epsilon, a=p.a, c=p.c, l=p.l,
         n=n_idx, gamma=gamma, b=b, h=h, omega=omega, sign=sign,

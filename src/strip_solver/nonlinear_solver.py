@@ -128,16 +128,15 @@ class PicardConfig:
 class PicardReport:
     """Convergence trace of a solve.
 
-    ``iterations`` counts the block sweeps of all windows, and ``residuals``
-    holds one fixed-point residual (certificate) per window.  Each window
+    ``iterations`` counts the block sweeps of all windows.  Each window
     trace holds ``t_start``, ``t_end``, ``iterations`` (the most sweeps any
-    one block needed), ``residual`` and ``converged``.  A u-independent
-    source is not iterated: ``iterations`` is 0, the lists are empty and
+    one block needed), ``residual`` (the window's fixed-point residual, its
+    certificate) and ``converged``.  A u-independent source is not
+    iterated: ``iterations`` is 0, there are no window traces and
     ``converged`` is True (``solve_linear`` raises when it misses ``tol``).
     """
 
     iterations: int
-    residuals: list
     converged: bool
     window_traces: list = field(default_factory=list)
 
@@ -415,7 +414,7 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     x = np.linspace(0.0, p.l, cfg.nx)
     if not depends_on_u(prob.source):
         return _solve_linear_source(prob, cfg, x), PicardReport(
-            iterations=0, residuals=[], converged=True)
+            iterations=0, converged=True)
     table = mode_table(p, n_modes)
     sin_int = np.sin(np.outer(x[1:-1], table.gamma))
     sin_full = np.zeros((cfg.nx, n_modes))
@@ -423,11 +422,11 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     g0c, g1c = pad_modes(prob.g0.coeffs, n_modes), pad_modes(prob.g1.coeffs, n_modes)
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
     t_cols, v_cols = [], []
-    traces, residuals = [], []
+    traces = []
     iterations = 0
     # equal windows of at most cfg.window share H, H' and the block operator
-    # at their relative times
-    n_windows = math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12))
+    # at their relative times; a window past the horizon (inf too) is one
+    n_windows = max(1, math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12)))
     span = prob.horizon / n_windows
     steps = max(2, round(span / cfg.dt))
     t_rel = span * np.arange(steps + 1) / steps
@@ -448,7 +447,6 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
         ok = ok and residual <= cfg.tol
         modal_dt_end = lin_dt[:, -1] - dt * (fhat * hdmat[:, ::-1]) @ _row_weights(steps)
         iterations += sum(counts)
-        residuals.append(residual)
         traces.append({"t_start": t0, "t_end": t1, "iterations": max(counts),
                        "residual": residual, "converged": ok})
         start = 1 if t_cols else 0
@@ -458,7 +456,7 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     values = np.concatenate(v_cols, axis=1)
     t_nodes = np.concatenate(t_cols)
     fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
-    report = PicardReport(iterations=iterations, residuals=residuals,
+    report = PicardReport(iterations=iterations,
                           converged=all(w["converged"] for w in traces),
                           window_traces=traces)
     return fld, report

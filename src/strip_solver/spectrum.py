@@ -5,11 +5,10 @@ coefficients g_n of g(x) ~ sum_n g_n sin(gamma_n x), gamma_n = n*pi/l.
 ``analyze`` computes g_n = (2/l) * int_0^l g(xi) sin(gamma_n xi) dxi,
 ``synthesize`` evaluates the partial sum.
 
-Quadrature: uniformly sampled input (and analytic callbacks, which are
-sampled on a fine uniform grid) goes through the type-I discrete sine
-transform, whose round trip is exact at the sample nodes and which
-resolves band-limited input to machine precision.  Non-uniform samples
-fall back to composite Simpson quadrature (order 4 on smooth data).
+Quadrature: ``g`` is a callable, sampled on a fine uniform grid and
+passed through the type-I discrete sine transform, whose round trip is
+exact at the sample nodes and which resolves band-limited input to
+machine precision.
 
 Solution-theory hypotheses on the data (vanishing end derivatives) are
 enforced softly: non-zero boundary values beyond 1e-8 trigger a warning,
@@ -26,10 +25,8 @@ import numpy as np
 
 __all__ = [
     "SineSpectrum",
-    "SampledFunction",
     "analyze",
     "synthesize",
-    "second_derivative",
     "constant_coefficients",
     "pad_modes",
     "check_length",
@@ -83,31 +80,6 @@ def check_length(l: float, **spectra: SineSpectrum) -> None:
             raise ValueError(f"{name} lives on length {spec.l}, params have {l}")
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Function values at strictly increasing nodes spanning [0, l]."""
-
-    l: float
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be 1-D arrays of equal length")
-        if nodes.size < 3:
-            raise ValueError("need at least 3 nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] != 0.0 or abs(nodes[-1] - self.l) > 1e-12 * self.l:
-            raise ValueError("nodes must span [0, l] exactly")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must be finite")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-
 def _warn_incompatible(v0, vl):
     if max(abs(v0), abs(vl)) > BOUNDARY_WARN_TOL:
         warnings.warn(
@@ -145,57 +117,32 @@ def dst(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.swapaxes(out.reshape(x.shape), 0, axis)
 
 
-def _dst_coefficients(interior_values: np.ndarray, m: int) -> np.ndarray:
-    # g_n = (2/m) * sum_{j=1}^{m-1} g_j sin(pi*j*n/m); the DST-I returns
-    # twice that sum.
-    return dst(interior_values) / m
+def analyze(g, n_modes: int = 64, *, l: float) -> SineSpectrum:
+    """Sine coefficients of the callable ``g`` on [0, l].
 
-
-def analyze(g, n_modes: int = 64, *, l: float | None = None,
-            num_points: int | None = None) -> SineSpectrum:
-    """Sine coefficients of ``g`` (a SampledFunction or a callable on [0, l]).
-
-    Callables are sampled on a uniform grid of ``num_points`` nodes
-    (default 2049) and transformed; uniformly sampled input is transformed
-    directly; non-uniformly sampled input is integrated with composite
-    Simpson quadrature against each sine.
+    ``g`` is sampled at max(DEFAULT_NUM_POINTS, 4*n_modes + 1) uniform
+    nodes, called once on the node array or, if it does not vectorise,
+    once per node.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if isinstance(g, SampledFunction):
-        nodes, values, length = g.nodes, g.values, g.l
-    elif callable(g):
-        if l is None:
-            raise ValueError("analyzing a callable requires the strip length l")
-        length = float(l)
-        m = (num_points or max(DEFAULT_NUM_POINTS, 4 * n_modes + 1)) - 1
-        nodes = np.linspace(0.0, length, m + 1)
-        try:
-            values = np.asarray(g(nodes), dtype=float)
-            if values.shape != nodes.shape:
-                raise TypeError
-        except TypeError:
-            values = np.array([float(g(x)) for x in nodes])
-        if not np.all(np.isfinite(values)):
-            raise ValueError("function is undefined (non-finite) at a quadrature node")
-    else:
-        raise TypeError("g must be a SampledFunction or a callable")
-
+    if not callable(g):
+        raise TypeError("g must be a callable")
+    length = float(l)
+    m = max(DEFAULT_NUM_POINTS, 4 * n_modes + 1) - 1
+    nodes = np.linspace(0.0, length, m + 1)
+    try:
+        values = np.asarray(g(nodes), dtype=float)
+        if values.shape != nodes.shape:
+            raise TypeError
+    except TypeError:
+        values = np.array([float(g(x)) for x in nodes])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("function is undefined (non-finite) at a quadrature node")
     _warn_incompatible(values[0], values[-1])
-    m = nodes.size - 1
-    if n_modes > m - 1:
-        raise ValueError(
-            f"n_modes = {n_modes} exceeds the {m - 1} modes resolvable on {m + 1} nodes")
-    spacing = np.diff(nodes)
-    if np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        coeffs = _dst_coefficients(values[1:-1], m)[:n_modes]
-    else:
-        from scipy.integrate import simpson  # loaded only for non-uniform nodes
-
-        gammas = np.arange(1, n_modes + 1) * (math.pi / length)
-        integrand = values[None, :] * np.sin(gammas[:, None] * nodes[None, :])
-        coeffs = (2.0 / length) * simpson(integrand, x=nodes, axis=1)
-    return SineSpectrum(l=length, coeffs=coeffs)
+    # g_n = (2/m) * sum_{j=1}^{m-1} g_j sin(pi*j*n/m); the DST-I returns
+    # twice that sum
+    return SineSpectrum(l=length, coeffs=(dst(values[1:-1]) / m)[:n_modes])
 
 
 def synthesize(s: SineSpectrum, x):
@@ -211,11 +158,6 @@ def synthesize(s: SineSpectrum, x):
     out = np.sin(xs[:, None] * s.gammas()[None, :]) @ s.coeffs
     out[(xs == 0.0) | (xs == s.l)] = 0.0
     return float(out[0]) if scalar else out
-
-
-def second_derivative(s: SineSpectrum) -> SineSpectrum:
-    """Coefficient-wise multiplication by -gamma_n^2."""
-    return SineSpectrum(l=s.l, coeffs=-s.gammas() ** 2 * s.coeffs)
 
 
 def constant_coefficients(value: float, l: float, n_modes: int) -> np.ndarray:

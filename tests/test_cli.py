@@ -67,6 +67,15 @@ class TestSubcommands:
         meta = out.read_text().splitlines()[0]
         assert "converged=True" in meta
 
+    def test_solve_nonlinear_infinite_window_is_one_window(self, run_cli):
+        argv = ("solve-nonlinear", "--T", "0.5", "--nx", "17", "--n-modes", "4",
+                "--dt", "0.05", "--source", "sine-gordon", "--bias", "0.2")
+        res = run_cli(*argv, "--window", "inf")
+        assert res.returncode == 0, res.stderr
+        assert "converged=True" in res.stdout.splitlines()[0]
+        # byte-identical to a window equal to the horizon
+        assert res.stdout == run_cli(*argv, "--window", "0.5").stdout
+
     def test_oracle(self, tmp_path, run_cli):
         out = tmp_path / "ora.csv"
         res = run_cli("oracle", "--config", str(CONFIGS / "oracle.cfg"), "--out", str(out))

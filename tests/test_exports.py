@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -58,6 +59,22 @@ def test_solver_imports_leave_green_kernel_unloaded():
                     "from strip_solver import linear_solver, nonlinear_solver"):
         script = f"import sys\n{imports}\nprint('strip_solver.green_kernel' in sys.modules)\n"
         assert _run_fresh(script) == "False", imports
+
+
+def test_only_the_oracle_imports_scipy():
+    # a static check: scipy may load only where fd_oracle needs it
+    importers = []
+    for path in sorted(pathlib.Path(strip_solver.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["fd_oracle"]
 
 
 def test_first_oracle_solve_loads_scipy_linalg():

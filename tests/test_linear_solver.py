@@ -288,6 +288,14 @@ class TestSolveLinear:
             with pytest.raises(ValueError, match="finite"):
                 GridSpec(x_nodes=xs, t_nodes=np.array([bad]))
 
+    @pytest.mark.parametrize("x_nodes", [[-1.0, 0.0, 1.0, 4.0], [-1e-12, 1.0],
+                                         [0.0, 1.0, L + 1e-9], [L + 1.0]])
+    def test_rejects_x_nodes_outside_the_strip(self, x_nodes):
+        # the sine series would return its odd or periodic extension there
+        prob = LinearProblem(P_EQ, zero_spec(), mode1(), lambda t: mode1(), 1.0)
+        with pytest.raises(ValueError, match=r"x nodes must lie in \[0, l\]"):
+            solve_linear(prob, GridSpec(x_nodes=x_nodes, t_nodes=[0.0, 1.0]))
+
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0, 0.0])
     def test_rejects_non_positive_or_non_finite_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):

@@ -107,7 +107,7 @@ class TestPicardSolve:
         # a u-independent source goes to solve_linear, which raises when it
         # misses tol, so the report holds no sweep and no residual
         assert rep.converged and rep.iterations == 0
-        assert rep.residuals == [] and rep.window_traces == []
+        assert rep.window_traces == []
 
     def test_zero_source_single_iteration(self):
         prob = self.small_problem(ZeroSource(), T=2.0)
@@ -165,7 +165,7 @@ class TestPicardSolve:
         assert rep.converged
         assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 5.0)]
         assert rep.window_traces[0]["iterations"] <= 8
-        assert rep.residuals[0] <= 1e-10
+        assert rep.window_traces[0]["residual"] <= 1e-10
 
     def test_window_short_of_sweeps_is_reported_unsplit(self):
         # 3 sweeps per block fall short of 1e-10: the window of 5 is kept
@@ -177,7 +177,7 @@ class TestPicardSolve:
         assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 5.0)]
         assert rep.window_traces[0]["iterations"] == 3
         assert not rep.window_traces[0]["converged"]
-        assert 1e-10 < rep.residuals[0] < 1e-4
+        assert 1e-10 < rep.window_traces[0]["residual"] < 1e-4
 
     @pytest.mark.parametrize("steps", [2, 33, 34, 64, 65, 97])
     def test_march_matches_iterated_sweep_at_block_edges(self, steps):
@@ -217,14 +217,24 @@ class TestPicardSolve:
         assert fld.t_nodes.size == 1001 and fld.t_nodes[-1] == pytest.approx(10.000001, abs=1e-12)
         assert np.allclose(np.diff(fld.t_nodes), 0.010000001, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("window", [math.inf, 7.5])
+    def test_window_past_the_horizon_is_one_window(self, window):
+        # any window at least the horizon marches [0, T] in one window, the
+        # same solve as window = T
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=2.0)
+        fld, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=window))
+        ref, ref_rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=2.0))
+        assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 2.0)]
+        assert np.array_equal(fld.values, ref.values)
+        assert np.array_equal(fld.t_nodes, ref.t_nodes)
+        assert rep == ref_rep
+
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))
         cfg = PicardConfig(tol=1e-8, nx=65, dt=0.01, n_modes=16, window=5.0)
         fld, rep = picard_solve(prob, cfg)
         assert rep.converged
-        assert len(rep.residuals) == len(rep.window_traces)
-        assert max(rep.residuals) <= cfg.tol
-        assert [w["residual"] for w in rep.window_traces] == rep.residuals
+        assert max(w["residual"] for w in rep.window_traces) <= cfg.tol
         assert set(rep.window_traces[0]) == {"t_start", "t_end", "iterations", "residual",
                                              "converged"}
         assert rep.iterations >= sum(w["iterations"] for w in rep.window_traces)
