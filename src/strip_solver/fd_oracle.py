@@ -106,7 +106,8 @@ def _finite(v: np.ndarray) -> bool:
 
     A finite sum of squares has only finite terms, so the exact elementwise
     check runs only when the sum is not finite: for a non-finite entry, or
-    for entries beyond ~1e154, where the sum overflows (numpy then warns).
+    for entries beyond ~1e154, where the sum overflows (``oracle_solve``
+    runs its steps with overflow warnings off).
     """
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
@@ -187,36 +188,38 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
 
     store(0, u)
     t = 0.0
-    for step in range(1, n_steps + 1):
-        t_new = step * dt
-        f_old = evaluate_source(source, x, t, u)
-        w = beta * u + gamma * v
-        base_rhs = alpha * v - 2.0 * w - w_old * f_old
-        base_rhs[:-1] += w[1:]
-        base_rhs[1:] += w[:-1]
-        u_pre = u + w_old * v
-        u_guess = u + dt * v
-        for _ in range(MAX_INNER):
-            f_new = evaluate_source(source, x, t_new, u_guess)
-            rhs = base_rhs - w_new * f_new
-            if not _finite(rhs):
+    # an overflow in a step ends as a non-finite value, which _finite raises
+    with np.errstate(over="ignore"):
+        for step in range(1, n_steps + 1):
+            t_new = step * dt
+            f_old = evaluate_source(source, x, t, u)
+            w = beta * u + gamma * v
+            base_rhs = alpha * v - 2.0 * w - w_old * f_old
+            base_rhs[:-1] += w[1:]
+            base_rhs[1:] += w[:-1]
+            u_pre = u + w_old * v
+            u_guess = u + dt * v
+            for _ in range(MAX_INNER):
+                f_new = evaluate_source(source, x, t_new, u_guess)
+                rhs = base_rhs - w_new * f_new
+                if not _finite(rhs):
+                    raise StepFailureError(
+                        f"non-finite right-hand side in the step to t = {t_new:.6g}", t=t_new)
+                v_new = cho_solve_banded((chol, False), rhs)
+                u_new = u_pre + w_new * v_new
+                if not nonlinear:
+                    break
+                change = float(np.abs(u_new - u_guess).max())
+                u_guess = u_new
+                if change <= NONLINEAR_INNER_TOL:
+                    break
+            else:
                 raise StepFailureError(
-                    f"non-finite right-hand side in the step to t = {t_new:.6g}", t=t_new)
-            v_new = cho_solve_banded((chol, False), rhs)
-            u_new = u_pre + w_new * v_new
-            if not nonlinear:
-                break
-            change = float(np.abs(u_new - u_guess).max())
-            u_guess = u_new
-            if change <= NONLINEAR_INNER_TOL:
-                break
-        else:
-            raise StepFailureError(
-                f"inner iteration did not converge at t = {t_new:.6g}", t=t_new)
-        if not _finite(u_new):
-            raise StepFailureError(f"non-finite state at t = {t_new:.6g}", t=t_new)
-        u, v, t = u_new, v_new, t_new
-        store(step, u)
+                    f"inner iteration did not converge at t = {t_new:.6g}", t=t_new)
+            if not _finite(u_new):
+                raise StepFailureError(f"non-finite state at t = {t_new:.6g}", t=t_new)
+            u, v, t = u_new, v_new, t_new
+            store(step, u)
     return Field(x_nodes=x_full, t_nodes=t_nodes, values=values)
 
 

@@ -37,7 +37,10 @@ After each window, one full sweep of the marched window with
 ``volterra_convolve`` gives its fixed-point residual, the certificate
 that ``tol`` bounds.  Long horizons are split into equal windows of at
 most ``window``, which share one set of kernel samples, and integrated
-window by window, restarting from the end state (u, u_t).  A source that
+window by window, restarting from the end state (u, u_t).  Each window
+is synthesised straight into its columns of one field allocated before
+the first, so the working memory above that field is one window's,
+whatever the horizon.  A source that
 does not depend on u goes, as spectra f(t), to
 ``linear_solver.solve_linear`` on the collocation grid, and ``tol`` then
 bounds its step-halving estimate.
@@ -421,7 +424,6 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     sin_full[1:-1, :] = sin_int
     g0c, g1c = pad_modes(prob.g0.coeffs, n_modes), pad_modes(prob.g1.coeffs, n_modes)
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
-    t_cols, v_cols = [], []
     traces = []
     iterations = 0
     # equal windows of at most cfg.window share H, H' and the block operator
@@ -433,28 +435,34 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     dt = span / steps
     hmat, hdmat = kernel_values(table, t_rel), kernel_dt_values(table, t_rel)
     block_op = _block_operator(hmat)
+    # window k fills columns k*steps .. (k+1)*steps; a window's first column
+    # is its predecessor's last, written once
+    t_nodes = np.empty(n_windows * steps + 1)
+    values = np.empty((cfg.nx, t_nodes.size))
     for k in range(n_windows):
         t0, t1 = k * span, (k + 1) * span
         t_abs = t0 + t_rel
-        lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
+        # the initial data's u over the window; its u_t only at the end, below
+        lin = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)[0]
         modal, counts, ok = _march_window(table, hmat, hdmat, block_op, lin, sin_int,
                                           spectra, t_abs, dt, cfg)
         # one full sweep of the marched window: its fixed-point residual
         grid = sin_int @ modal
         fhat = _evaluating(spectra, grid, t_abs)
         swept = _finite(sin_int @ (lin - volterra_convolve(hmat, fhat, dt)))
-        residual = float(np.max(np.abs(swept - grid)))
+        swept -= grid
+        residual = float(np.abs(swept, out=swept).max())
         ok = ok and residual <= cfg.tol
-        modal_dt_end = lin_dt[:, -1] - dt * (fhat * hdmat[:, ::-1]) @ _row_weights(steps)
+        lin_dt_end = propagate_state(table, g0c, g1c, hmat[:, -1], hdmat[:, -1])[1]
+        modal_dt_end = lin_dt_end - dt * (fhat * hdmat[:, ::-1]) @ _row_weights(steps)
         iterations += sum(counts)
         traces.append({"t_start": t0, "t_end": t1, "iterations": max(counts),
                        "residual": residual, "converged": ok})
-        start = 1 if t_cols else 0
-        t_cols.append(t_abs[start:])
-        v_cols.append(sin_full @ modal[:, start:])
+        start = 1 if k else 0
+        cols = slice(k * steps + start, (k + 1) * steps + 1)
+        t_nodes[cols] = t_abs[start:]
+        values[:, cols] = sin_full @ modal[:, start:]
         g0c, g1c = modal[:, -1], modal_dt_end
-    values = np.concatenate(v_cols, axis=1)
-    t_nodes = np.concatenate(t_cols)
     fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
     report = PicardReport(iterations=iterations,
                           converged=all(w["converged"] for w in traces),

@@ -18,6 +18,7 @@ not an error, since slightly incompatible inputs are common in practice.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -122,13 +123,17 @@ def analyze(g, n_modes: int = 64, *, l: float) -> SineSpectrum:
 
     ``g`` is sampled at max(DEFAULT_NUM_POINTS, 4*n_modes + 1) uniform
     nodes, called once on the node array or, if it does not vectorise,
-    once per node.
+    once per node.  ``l`` and ``n_modes`` are checked before ``g`` is sampled.
     """
+    if not isinstance(n_modes, numbers.Integral):
+        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if not callable(g):
         raise TypeError("g must be a callable")
     length = float(l)
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"length must be positive, got {l!r}")
     m = max(DEFAULT_NUM_POINTS, 4 * n_modes + 1) - 1
     nodes = np.linspace(0.0, length, m + 1)
     try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,38 @@ class TestPicardSolve:
         assert np.array_equal(fld.values, ref.values)
         assert np.array_equal(fld.t_nodes, ref.t_nodes)
         assert rep == ref_rep
+
+    def test_window_joins_match_one_window(self):
+        # four windows of 1 write their columns where one window of 4 does;
+        # a one-column shift at a join reads ~2.7e-3
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=4.0)
+        cfg = dict(tol=1e-13, nx=33, dt=0.05, n_modes=8)
+        split, split_rep = picard_solve(prob, PicardConfig(window=1.0, **cfg))
+        whole, whole_rep = picard_solve(prob, PicardConfig(window=math.inf, **cfg))
+        assert split_rep.converged and whole_rep.converged
+        assert len(split_rep.window_traces) == 4
+        assert np.array_equal(split.t_nodes, whole.t_nodes)
+        assert np.max(np.abs(split.values - whole.values)) <= 1e-4
+
+    def test_working_memory_does_not_grow_with_the_horizon(self):
+        # tracemalloc peak above the returned field: one window's working
+        # set, the same at 10 and at 20 windows
+        cfg = PicardConfig(nx=65, dt=0.01, n_modes=16, window=2.0)
+
+        def extra_bytes(T):
+            prob = self.small_problem(SineGordonSource(bias=0.45), T=T)
+            tracemalloc.start()
+            try:
+                fld, rep = picard_solve(prob, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.converged
+            return peak - fld.values.nbytes
+
+        extra_bytes(2.0)  # one-off allocations of a first solve
+        short, long = extra_bytes(20.0), extra_bytes(40.0)
+        assert abs(long - short) <= 0.1 * short
 
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ class TestAnalyze:
             analyze(lambda x: np.sin(x), 0, l=L)
         with pytest.raises(ValueError):
             analyze(lambda x: np.full_like(x, math.nan), 4, l=L)
+
+    @pytest.mark.parametrize("n_modes, l, match", [
+        (8, -1.0, "length"), (8, 0.0, "length"), (8, math.nan, "length"),
+        (8, math.inf, "length"), (2.5, L, "integer"), (0, L, ">= 1"),
+    ])
+    def test_bad_arguments_raise_before_sampling(self, n_modes, l, match):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return np.cos(x)  # would warn at the strip ends if sampled
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                analyze(spy, n_modes, l=l)
+        assert calls == []
 
 
 class TestSynthesize:
