@@ -40,7 +40,6 @@ _EXPORTS = {
     "LinearProblem": "linear_solver",
     "GridSpec": "linear_solver",
     "QuadConfig": "linear_solver",
-    "forced_response": "linear_solver",
     "solve_linear": "linear_solver",
     "SourceTerm": "sources",
     "ZeroSource": "sources",
@@ -54,7 +53,6 @@ _EXPORTS = {
     "NonlinearProblem": "nonlinear_solver",
     "picard_solve": "nonlinear_solver",
     "OracleConfig": "fd_oracle",
-    "OracleProblem": "fd_oracle",
     "oracle_solve": "fd_oracle",
     "convergence_study": "fd_oracle",
     "DecayFit": "asymptotics",

@@ -74,27 +74,32 @@ def _flag(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _source_kind(text: str) -> str:
-    kinds = ("zero", "sine-gordon", "exp", "algebraic", "linear")
-    if text not in kinds:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(kinds)})")
-    return text
+def _choice(*kinds):
+    """Cast of an option whose value is one of ``kinds``."""
+    def cast(text: str) -> str:
+        if text not in kinds:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(kinds)})")
+        return text
+
+    return cast
 
 
 _PARAMS = {"epsilon": (float, 1.0), "a": (float, 1.0), "c": (float, 1.0),
            "l": (float, math.pi), "out": (str, None)}
 _DATA = {"g0": (str, None), "g0_scale": (float, 1.0), "g1": (str, None),
          "g1_scale": (float, 1.0)}
-_SOURCE = {"source": (_source_kind, "zero"), "bias": (float, 0.0), "mu": (float, 0.25),
-           "k0": (float, 1.0), "alpha": (float, 0.5), "f_profile": (str, "sin_1"),
-           "f_scale": (float, 1.0)}
+_F_PROFILE = {"f_profile": (str, "sin_1"), "f_scale": (float, 1.0)}
+_SOURCE = {"source": (_choice("zero", "sine-gordon", "exp", "algebraic", "linear"), "zero"),
+           "bias": (float, 0.0), "mu": (float, 0.25), "k0": (float, 1.0),
+           "alpha": (float, 0.5), **_F_PROFILE}
 
 _OPTIONS = {
     "modes": {**_PARAMS, "n": (int, 8), "k": (float, 0.5)},
     "green": {**_PARAMS, "xi": (float, None), "t_min": (float, 0.1),
               "t_max": (float, 5.0), "nt": (int, 20), "nx": (int, 21), "tol": (float, 1e-5)},
-    "solve-linear": {**_PARAMS, **_DATA, **_SOURCE, "n_modes": (int, 64), "T": (float, 2.0),
+    "solve-linear": {**_PARAMS, **_DATA, "source": (_choice("zero", "linear"), "zero"),
+                     **_F_PROFILE, "n_modes": (int, 64), "T": (float, 2.0),
                      "nx": (int, 33), "nt": (int, 21), "with_dt": (_flag, False),
                      "quad_tol": (float, None)},
     "solve-nonlinear": {**_PARAMS, **_DATA, **_SOURCE, "n_modes": (int, None),
@@ -269,8 +274,6 @@ def _cmd_solve_linear(args):
                     t_nodes=np.linspace(0.0, args.T, args.nt), with_dt=args.with_dt)
     g0 = _profile(args.g0, args.g0_scale, p, args.n_modes)
     g1 = _profile(args.g1, args.g1_scale, p, args.n_modes)
-    if args.source not in ("zero", "linear"):
-        raise UsageError("solve-linear accepts only source = zero or linear")
     f = _build_source(args, p, args.n_modes).f if args.source == "linear" else None
     prob = LinearProblem(params=p, g0=g0, g1=g1, f=f, horizon=args.T)
     quad = QuadConfig() if args.quad_tol is None else QuadConfig(tol=args.quad_tol)

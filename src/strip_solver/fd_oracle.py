@@ -40,7 +40,7 @@ from .fields import Field
 from .modes import Params
 from .sources import SourceTerm, depends_on_u, evaluate_source
 
-__all__ = ["OracleConfig", "OracleProblem", "StudyRecord", "oracle_solve", "convergence_study"]
+__all__ = ["OracleConfig", "StudyRecord", "oracle_solve", "convergence_study"]
 
 # Inner fixed-point iteration of a u-dependent source within one step.
 NONLINEAR_INNER_TOL = 1e-12
@@ -88,17 +88,6 @@ class OracleConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class OracleProblem:
-    """Problem data in sampled form: g0, g1 callables (or arrays) on [0, l]."""
-
-    params: Params
-    g0: object
-    g1: object
-    source: SourceTerm
-    horizon: float
 
 
 def _finite(v: np.ndarray) -> bool:
@@ -225,7 +214,7 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
 
 @dataclass(frozen=True)
 class StudyRecord:
-    """One rung of a refinement study; ``order`` is nan on the first rung."""
+    """One rung of a refinement study; ``convergence_study`` says when ``order`` is nan."""
 
     nx: int
     dt: float
@@ -233,21 +222,23 @@ class StudyRecord:
     order: float
 
 
-def convergence_study(problem: OracleProblem, refinements, reference) -> list:
+def convergence_study(solve, refinements, reference) -> list:
     """Disagreement with a reference solution for each grid refinement.
 
-    ``refinements`` is a sequence of OracleConfig; ``reference(x_nodes,
-    t_nodes)`` returns the reference values on a run's own output grid, in
-    the shape of ``Field.values``.  The order between consecutive rungs is
-    log2(prev/diff), close to 2 when both steps halve.
+    ``solve(cfg)`` returns the oracle's Field on the grid of one
+    OracleConfig, for example ``functools.partial(oracle_solve, p, g0, g1,
+    source, horizon)``; ``refinements`` is a sequence of OracleConfig;
+    ``reference(x_nodes, t_nodes)`` returns the reference values on a run's
+    own output grid, in the shape of ``Field.values``.  The order between
+    consecutive rungs is log2(prev/diff), close to 2 when both steps halve;
+    it is nan on the first rung and wherever prev or diff is 0.
     """
-    records, prev = [], None
+    records, prev = [], math.nan
     for cfg in refinements:
-        fld = oracle_solve(problem.params, problem.g0, problem.g1,
-                           problem.source, problem.horizon, cfg)
+        fld = solve(cfg)
         exact = reference(fld.x_nodes, fld.t_nodes)
         diff = float(np.max(np.abs(exact - fld.values)))
-        order = math.nan if prev is None else math.log2(prev / diff)
+        order = math.log2(prev / diff) if prev > 0 and diff > 0 else math.nan
         records.append(StudyRecord(cfg.nx, cfg.dt, diff, order))
         prev = diff
     return records

@@ -55,7 +55,6 @@ __all__ = [
     "GridSpec",
     "Field",
     "QuadConfig",
-    "forced_response",
     "solve_linear",
 ]
 
@@ -215,19 +214,6 @@ def _forced(f, f0, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
     raise AccuracyError(
         f"convolution quadrature did not reach tol = {quad.tol:.3g} on [0, {horizon:.3g}] "
         f"(last step-halving estimate {estimate:.3g})", estimate=estimate)
-
-
-def forced_response(p: Params, f, t: float, quad: QuadConfig = QuadConfig()) -> SineSpectrum:
-    """Source component u_f(., t): per-mode convolution of f_n with H_n.
-
-    The mode count is that of f(0).
-    """
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"time must be non-negative and finite, got {t}")
-    f0 = f(0.0)
-    table = mode_table(p, np.asarray(f0.coeffs).size)
-    coeffs, _ = _forced(f, f0, table, np.array([float(t)]), quad, with_dt=False)
-    return SineSpectrum(l=p.l, coeffs=coeffs[:, 0])
 
 
 def solve_linear(prob: LinearProblem, grid: GridSpec,

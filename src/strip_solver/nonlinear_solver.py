@@ -115,8 +115,8 @@ class PicardConfig:
         for name in ("max_iter", "nx", "n_modes"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.tol > 0 or self.max_iter < 1:  # not > 0 also rejects NaN
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if not 0.0 < self.tol < math.inf or self.max_iter < 1:  # also rejects NaN
+            raise ValueError("tol must be positive and finite and max_iter >= 1")
         if self.nx < 9 or not 0.0 < self.dt < math.inf or not self.window > 0:
             raise ValueError("invalid collocation grid")
         if self.window < self.dt:

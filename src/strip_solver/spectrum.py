@@ -59,9 +59,10 @@ class SineSpectrum:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
-        # a finite sum of squares has only finite terms; the exact check
-        # runs only when that sum is not finite (it overflows past ~1e154)
-        if not (math.isfinite(c.dot(c)) or np.isfinite(c).all()):
+        # a finite sum has only finite terms; the exact check runs only when
+        # that sum is not finite.  A Python float sum overflows to inf
+        # without the RuntimeWarning a numpy reduction would raise.
+        if not (math.isfinite(sum(c.tolist())) or np.isfinite(c).all()):
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -17,13 +17,13 @@ from functools import partial
 
 import numpy as np
 
-from .fd_oracle import OracleConfig, OracleProblem, StudyRecord, convergence_study
+from .fd_oracle import OracleConfig, StudyRecord, convergence_study, oracle_solve
 from .linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
 from .modes import Params
 from .sources import LinearSource, ZeroSource
 from .spectrum import SineSpectrum, synthesize
 
-__all__ = ["CorpusProblem", "linear_corpus", "verify_linear", "VerifyRecord"]
+__all__ = ["linear_corpus", "verify_linear", "VerifyRecord"]
 
 # The oracle grids of the study, each halving both steps of the previous one.
 REFINEMENTS = (OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02),
@@ -32,22 +32,14 @@ REFINEMENTS = (OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02),
 QUAD = QuadConfig(tol=1e-11)
 
 
-@dataclass(frozen=True)
-class CorpusProblem:
-    name: str
-    g0: SineSpectrum
-    g1: SineSpectrum
-    f: object                     # None or t -> SineSpectrum
-
-
 def _mode_spectrum(l, n, amplitude=1.0, size=4):
     coeffs = np.zeros(max(n, size))
     coeffs[n - 1] = amplitude
     return SineSpectrum(l=l, coeffs=coeffs)
 
 
-def linear_corpus(p: Params) -> list:
-    """Four linear problems with band-limited data and sources."""
+def linear_corpus(p: Params, horizon: float = 2.0) -> dict:
+    """Four linear problems with band-limited data and sources, by name."""
     l = p.l
     zero = SineSpectrum(l=l, coeffs=np.zeros(4))
     const_f = _mode_spectrum(l, 1)
@@ -61,12 +53,15 @@ def linear_corpus(p: Params) -> list:
     def f_decay(t):
         return SineSpectrum(l=l, coeffs=decaying.coeffs * math.exp(-0.5 * t))
 
-    return [
-        CorpusProblem("velocity_mode1", zero, _mode_spectrum(l, 1), None),
-        CorpusProblem("displacement_mode1", _mode_spectrum(l, 1), zero, None),
-        CorpusProblem("forced_constant", zero, zero, f_const),
-        CorpusProblem("mixed_decaying_source", mix_g0, mix_g1, f_decay),
-    ]
+    return {
+        name: LinearProblem(params=p, g0=g0, g1=g1, f=f, horizon=horizon)
+        for name, g0, g1, f in (
+            ("velocity_mode1", zero, _mode_spectrum(l, 1), None),
+            ("displacement_mode1", _mode_spectrum(l, 1), zero, None),
+            ("forced_constant", zero, zero, f_const),
+            ("mixed_decaying_source", mix_g0, mix_g1, f_decay),
+        )
+    }
 
 
 @dataclass(frozen=True)
@@ -77,17 +72,15 @@ class VerifyRecord(StudyRecord):
 def verify_linear(p: Params, horizon: float = 2.0) -> list:
     """Spectral-vs-oracle disagreement of the corpus across REFINEMENTS."""
     records = []
-    for prob in linear_corpus(p):
-        spectral = LinearProblem(params=p, g0=prob.g0, g1=prob.g1, f=prob.f,
-                                 horizon=horizon)
+    for name, prob in linear_corpus(p, horizon).items():
         source = ZeroSource() if prob.f is None else LinearSource(prob.f)
-        oracle = OracleProblem(p, partial(synthesize, prob.g0),
-                               partial(synthesize, prob.g1), source, horizon)
+        solve = partial(oracle_solve, prob.params, partial(synthesize, prob.g0),
+                        partial(synthesize, prob.g1), source, prob.horizon)
 
-        def reference(x_nodes, t_nodes, spectral=spectral):
+        def reference(x_nodes, t_nodes, prob=prob):
             grid = GridSpec(x_nodes=x_nodes, t_nodes=t_nodes)
-            return solve_linear(spectral, grid, quad=QUAD).values
+            return solve_linear(prob, grid, quad=QUAD).values
 
-        records += [VerifyRecord(**vars(rec), problem=prob.name)
-                    for rec in convergence_study(oracle, REFINEMENTS, reference)]
+        records += [VerifyRecord(**vars(rec), problem=name)
+                    for rec in convergence_study(solve, REFINEMENTS, reference)]
     return records

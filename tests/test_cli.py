@@ -152,6 +152,7 @@ class TestContract:
         nonlin = ("solve-nonlinear", "--T", "0.5", "--nx", "17", "--n-modes", "4")
         for argv in (lin + ("--quad-tol", "-1"), lin + ("--quad-tol", "nan"),
                      lin + ("--quad-tol", "inf"), nonlin + ("--tol", "nan"),
+                     nonlin + ("--tol", "inf"),
                      nonlin + ("--dt", "nan"), nonlin + ("--window", "nan")):
             res = run_cli(*argv)
             assert res.returncode == 1, (argv, res.stderr)
@@ -204,6 +205,26 @@ class TestInputErrors:
         self.assert_usage_error(res)
         assert "horizon T must be positive and finite" in res.stderr
         assert "RuntimeWarning" not in res.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--source", "exp"), "invalid choice: 'exp' (choose from zero, linear)"),
+        (("--source", "sine-gordon"), "invalid choice"),
+        (("--bias", "0.3"), "unrecognized arguments"),
+        (("--mu", "0.5"), "unrecognized arguments"),
+    ])
+    def test_solve_linear_refuses_settings_it_cannot_use(self, run_cli, argv, message):
+        res = run_cli("solve-linear", "--nx", "5", "--nt", "3", *argv)
+        self.assert_usage_error(res)
+        assert message in res.stderr
+
+    @pytest.mark.parametrize("line,message", [("bias = 0.3", "unknown config key(s) bias"),
+                                              ("source = algebraic", "config key 'source'")])
+    def test_solve_linear_refuses_config_it_cannot_use(self, tmp_path, run_cli, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nx = 5\nnt = 3\n{line}\n")
+        res = run_cli("solve-linear", "--config", cfg)
+        self.assert_usage_error(res)
+        assert message in res.stderr
 
     def test_oracle_infinite_horizon(self, run_cli):
         res = run_cli("oracle", "--T", "inf", "--nx", "15")

@@ -77,6 +77,34 @@ def test_only_the_oracle_imports_scipy():
     assert sorted(set(importers)) == ["fd_oracle"]
 
 
+def _package_imports(module: str) -> set:
+    """(submodule, name) pairs that ``module`` imports from the package, at any depth."""
+    path = pathlib.Path(strip_solver.__file__).parent / f"{module}.py"
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            pairs |= {(alias.name.removeprefix("strip_solver."), "*") for alias in node.names
+                      if alias.name.split(".")[0] == "strip_solver"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "strip_solver"):
+            source = (node.module or "").removeprefix("strip_solver").lstrip(".")
+            pairs |= {(source, alias.name) if source else (alias.name, "*")
+                      for alias in node.names}
+    return pairs
+
+
+def test_the_cross_check_shares_no_spectral_code():
+    # fd_oracle and sources are the independent side of the spectral-vs-oracle
+    # comparison: the oracle may take from the package only its errors, its
+    # Field record, the sources and the parameter container; sources nothing
+    allowed = {"errors", "fields", "sources"}
+    oracle = _package_imports("fd_oracle")
+    assert oracle, "the scan found none of fd_oracle's package imports"
+    assert {pair for pair in oracle
+            if pair[0] not in allowed and pair != ("modes", "Params")} == set()
+    assert _package_imports("sources") == set()
+
+
 def test_first_oracle_solve_loads_scipy_linalg():
     script = (
         "import sys\n"

@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 
@@ -7,7 +8,7 @@ import pytest
 from conftest import P_EQ, P_GTR
 from helpers import theta_scheme_reference
 from strip_solver import fd_oracle
-from strip_solver.fd_oracle import OracleConfig, OracleProblem, convergence_study, oracle_solve
+from strip_solver.fd_oracle import OracleConfig, convergence_study, oracle_solve
 from strip_solver.sources import AlgebraicSource, LinearSource, SineGordonSource, ZeroSource
 from strip_solver.spectrum import SineSpectrum
 
@@ -25,14 +26,31 @@ class TestOracleSolve:
         assert np.all(fld.values == 0.0)
 
     def test_refinement_orders_on_single_mode(self):
-        problem = OracleProblem(P_EQ, zeros, lambda x: np.sin(x), ZeroSource(), 2.0)
+        solve = functools.partial(oracle_solve, P_EQ, zeros, lambda x: np.sin(x),
+                                  ZeroSource(), 2.0)
         refinements = [OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02),
                        OracleConfig(nx=127, dt=0.01)]
-        records = convergence_study(problem, refinements,
+        records = convergence_study(solve, refinements,
                                     lambda x, t: np.outer(np.sin(x), t * np.exp(-t)))
         assert [(rec.nx, rec.dt) for rec in records] == [(31, 0.04), (63, 0.02), (127, 0.01)]
         assert math.isnan(records[0].order)
         assert min(rec.order for rec in records[1:]) > 1.9
+
+    def test_exact_rungs_have_no_order(self):
+        # every rung of the zero problem matches its zero reference exactly;
+        # log2(prev/diff) used to divide by zero there
+        solve = functools.partial(oracle_solve, P_EQ, zeros, zeros, ZeroSource(), 0.2)
+        refinements = [OracleConfig(nx=15, dt=0.04), OracleConfig(nx=31, dt=0.02)]
+        records = convergence_study(solve, refinements, lambda x, t: np.zeros((x.size, t.size)))
+        assert [rec.sup_diff for rec in records] == [0.0, 0.0]
+        assert all(math.isnan(rec.order) for rec in records)
+        # an exact rung after an inexact one, and the other way round
+        ones = lambda x, t: np.ones((x.size, t.size))
+        for reference, sup_diffs in ((lambda x, t: ones(x, t) * (x.size == 17), [1.0, 0.0]),
+                                     (lambda x, t: ones(x, t) * (x.size == 33), [0.0, 1.0])):
+            records = convergence_study(solve, refinements, reference)
+            assert [rec.sup_diff for rec in records] == sup_diffs
+            assert all(math.isnan(rec.order) for rec in records)
 
     def test_steady_state_under_constant_source(self):
         f = LinearSource(lambda t: SineSpectrum(l=L, coeffs=np.array([1.0])))
@@ -64,8 +82,8 @@ class TestOracleSolve:
     def test_graceful_order_degradation_for_incompatible_data(self):
         # g1 = x violates the corner compatibility; errors stay finite and are
         # reported as-is
-        problem = OracleProblem(P_EQ, zeros, lambda x: np.asarray(x, dtype=float),
-                                ZeroSource(), 1.0)
+        solve = functools.partial(oracle_solve, P_EQ, zeros,
+                                  lambda x: np.asarray(x, dtype=float), ZeroSource(), 1.0)
         refinements = [OracleConfig(nx=31, dt=0.04), OracleConfig(nx=63, dt=0.02)]
         fine = oracle_solve(P_EQ, zeros, lambda x: np.asarray(x, dtype=float),
                             ZeroSource(), 1.0, OracleConfig(nx=255, dt=0.005))
@@ -75,7 +93,7 @@ class TestOracleSolve:
             jt = np.round(tq / (fine.t_nodes[1] - fine.t_nodes[0])).astype(int)
             return fine.values[np.ix_(ix, jt)]
 
-        records = convergence_study(problem, refinements, reference)
+        records = convergence_study(solve, refinements, reference)
         assert all(np.isfinite(rec.sup_diff) for rec in records)
         assert np.isfinite(records[1].order)
 

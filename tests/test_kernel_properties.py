@@ -3,7 +3,8 @@
 A scalar time and the same time inside an array of times must give the
 same bits for every kind, on tables whose modes straddle the oscillatory
 band edges and the critical band |h - b| <= CRITICAL_REL_TOL*h, at times
-that straddle each mode's Maclaurin switch SERIES_SWITCH/omega.
+that straddle each mode's Maclaurin switch SERIES_SWITCH/omega.  Across
+that switch, where H and H' change formula, both stay continuous.
 """
 
 import math
@@ -83,3 +84,31 @@ class TestScalarTime:
         for t0 in (0.0, -0.0, 0, np.float64(0.0), np.array([0.0, 0.0])):
             assert np.all(kernel_values(table, t0) == 0.0)
             assert np.all(kernel_dt_values(table, t0) == 1.0)
+
+
+class TestSeriesSwitch:
+    @PROPERTY_SETTINGS
+    @given(p=st.one_of(band_edge_params(), any_params), extra=st.integers(1, 20))
+    def test_kernels_are_continuous_across_the_switch(self, p, extra):
+        # H and H' just below and just above t = SERIES_SWITCH/omega, one side
+        # from the Maclaurin branch and the other from the closed form, may
+        # differ only by a trapezoid step of their derivatives, with
+        # H'' = -2hH' - b^2 H from the ODE
+        table = mode_table(p, extra + min(classify_modes(p).n2_star, 60))
+        modes = np.flatnonzero(table.omega > 0)
+        switch = SERIES_SWITCH / table.omega[modes]
+        t_lo, t_hi = switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
+        h, b2 = table.h[modes], table.b[modes] ** 2
+
+        def state(t):
+            # mode modes[k] at its own time t[k]
+            hv = kernel_values(table, t)[modes, np.arange(modes.size)]
+            hd = kernel_dt_values(table, t)[modes, np.arange(modes.size)]
+            return hv, hd, -2.0 * h * hd - b2 * hv
+
+        (h_lo, hd_lo, hdd_lo), (h_hi, hd_hi, hdd_hi) = state(t_lo), state(t_hi)
+        step = t_hi - t_lo
+        jump = np.abs(h_hi - h_lo - 0.5 * (hd_lo + hd_hi) * step)
+        assert np.all(jump <= 1e-9 * (np.abs(h_lo) + np.abs(hd_lo) * t_lo))
+        jump_dt = np.abs(hd_hi - hd_lo - 0.5 * (hdd_lo + hdd_hi) * step)
+        assert np.all(jump_dt <= 1e-9 * (np.abs(hd_lo) + np.abs(hdd_lo) * t_lo))

@@ -14,11 +14,10 @@ from strip_solver.linear_solver import (
     GridSpec,
     LinearProblem,
     QuadConfig,
-    forced_response,
     solve_linear,
 )
 from strip_solver.profiles import make_profile
-from strip_solver.spectrum import SineSpectrum, analyze, pad_modes, synthesize
+from strip_solver.spectrum import SineSpectrum, analyze, dst, pad_modes, synthesize
 
 L = math.pi
 QUAD = QuadConfig(tol=1e-12)
@@ -73,53 +72,6 @@ class TestPropagators:
         assert np.max(np.abs((u - g0) / delta)) < 1e-5
 
 
-class TestForcedResponse:
-    def test_zero_source(self):
-        out = forced_response(P_EQ, lambda t: zero_spec(), 1.5, QUAD)
-        assert np.all(out.coeffs == 0.0)
-
-    def test_zero_time(self):
-        out = forced_response(P_EQ, lambda t: mode1(), 0.0, QUAD)
-        assert np.all(out.coeffs == 0.0)
-
-    def test_constant_source_closed_form(self):
-        out = forced_response(P_EQ, lambda t: mode1(), 2.0, QUAD)
-        assert out.coeffs[0] == pytest.approx(1.0 - 3.0 * math.exp(-2.0), abs=1e-11)
-
-    def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(linear_solver, "MAX_DOUBLINGS", 1)
-        with pytest.raises(AccuracyError) as info:
-            forced_response(P_EQ, lambda t: mode1(), 2.0, QuadConfig(tol=1e-30))
-        assert info.value.estimate is not None
-
-    def test_samples_time_zero_once(self):
-        calls = []
-
-        def f(t):
-            calls.append(t)
-            return mode1()
-
-        forced_response(P_EQ, f, 0.73, QUAD)
-        assert calls[0] == 0.0 and calls.count(0.0) == 1
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
-    def test_rejects_negative_or_non_finite_time(self, t):
-        with pytest.raises(ValueError, match="non-negative and finite"):
-            forced_response(P_EQ, lambda t: mode1(), t, QUAD)
-
-    @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
-    def test_unresolved_fast_modes_meet_tolerance(self, tol):
-        # mode 64 decays at dp ~ 4096, unresolved by the first grids; its
-        # error converges at first order there, not third
-        n = 64
-        f = lambda t: SineSpectrum(l=L, coeffs=np.ones(n))
-        out = forced_response(P_EQ, f, 1.0, QuadConfig(tol=tol))
-        table = mode_table(P_EQ, n)
-        exact = ((1.0 - kernel_dt_values(table, 1.0) - 2.0 * table.h * kernel_values(table, 1.0))
-                 / table.b**2)
-        assert np.max(np.abs(out.coeffs - exact)) <= tol
-
-
 class TestSourceQuadrature:
     """The forced part samples f once per grid and halves the grid to tol."""
 
@@ -138,6 +90,12 @@ class TestSourceQuadrature:
         assert len(calls) == 8_001
         assert all(type(t) is float for t in calls)
         assert calls[0] == 0.0 and len(set(calls)) == len(calls)
+        # an output time off the grid also samples Simpson midpoints, some of
+        # which are nodes of the finer grid; f(0) is still sampled once, first
+        calls.clear()
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 0.73)
+        solve_linear(prob, GridSpec(x_nodes=[0.0, L], t_nodes=[0.73]), QUAD)
+        assert calls[0] == 0.0 and calls.count(0.0) == 1
 
     @pytest.mark.parametrize("lengths", [(3,), (1, 3, 5), (2, 4)])
     def test_sampled_gathers_spectra_of_any_length(self, lengths):
@@ -167,26 +125,47 @@ class TestSourceQuadrature:
         assert reused.tobytes() == got.tobytes()
 
     def test_constant_source_off_grid_times(self):
-        tol = 1e-10
-        ts = np.unique(np.concatenate([np.linspace(1.0, 5.0, 10),
-                                       np.geomspace(5.0, 100.0, 40)]))
+        # u = -(1 - (1 + t) e^{-t}) sin x; the last input is one output time
+        # at the horizon, 2.0, where the forced coefficient is 1 - 3 e^{-2}
         xs = np.linspace(0.0, L, 33)
-        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 100.0)
-        fld = solve_linear(prob, GridSpec(x_nodes=xs, t_nodes=ts, with_dt=True),
-                           QuadConfig(tol=tol))
-        exact = np.outer(np.sin(xs), -(1.0 - (1.0 + ts) * np.exp(-ts)))
-        exact_dt = np.outer(np.sin(xs), -ts * np.exp(-ts))
-        assert np.max(np.abs(fld.values - exact)) <= tol
-        assert np.max(np.abs(fld.values_dt - exact_dt)) <= tol
+        many = np.unique(np.concatenate([np.linspace(1.0, 5.0, 10),
+                                         np.geomspace(5.0, 100.0, 40)]))
+        for tol, ts in ((1e-10, many), (1e-12, np.array([2.0]))):
+            prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), ts[-1])
+            fld = solve_linear(prob, GridSpec(x_nodes=xs, t_nodes=ts, with_dt=True),
+                               QuadConfig(tol=tol))
+            exact = np.outer(np.sin(xs), -(1.0 - (1.0 + ts) * np.exp(-ts)))
+            exact_dt = np.outer(np.sin(xs), -ts * np.exp(-ts))
+            assert np.max(np.abs(fld.values - exact)) <= tol
+            assert np.max(np.abs(fld.values_dt - exact_dt)) <= tol
 
     def test_unreachable_tolerance_raises_from_solver(self, monkeypatch):
         monkeypatch.setattr(linear_solver, "MAX_DOUBLINGS", 1)
         prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 3.0)
-        grid = GridSpec(x_nodes=np.linspace(0.0, L, 9), t_nodes=np.array([0.7, 3.0]),
-                        with_dt=True)
-        with pytest.raises(AccuracyError) as info:
-            solve_linear(prob, grid, QuadConfig(tol=1e-30))
-        assert 1e-30 < info.value.estimate < 1e-3
+        xs = np.linspace(0.0, L, 9)
+        # with u_t at an off-grid time, and u alone at the horizon
+        for grid in (GridSpec(x_nodes=xs, t_nodes=np.array([0.7, 3.0]), with_dt=True),
+                     GridSpec(x_nodes=xs, t_nodes=np.array([3.0]))):
+            with pytest.raises(AccuracyError) as info:
+                solve_linear(prob, grid, QuadConfig(tol=1e-30))
+            assert 1e-30 < info.value.estimate < 1e-3
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
+    def test_unresolved_fast_modes_meet_tolerance(self, tol):
+        # mode 64 decays at dp ~ 4096, unresolved by the first grids; its
+        # error converges at first order there, not third
+        n = 64
+        f = lambda t: SineSpectrum(l=L, coeffs=np.ones(n))
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 1.0)
+        # on x_j = j*pi/(n + 1) the DST-I recovers all n coefficients exactly
+        xs = np.arange(n + 2) * (L / (n + 1))
+        xs[-1] = L
+        fld = solve_linear(prob, GridSpec(x_nodes=xs, t_nodes=[1.0]), QuadConfig(tol=tol))
+        coeffs = -dst(fld.values[1:-1], axis=0)[:, 0] / (n + 1)
+        table = mode_table(P_EQ, n)
+        exact = ((1.0 - kernel_dt_values(table, 1.0) - 2.0 * table.h * kernel_values(table, 1.0))
+                 / table.b**2)
+        assert np.max(np.abs(coeffs - exact)) <= tol
 
     def test_config_rejects_invalid_controls(self):
         for tol in (0.0, -1.0, math.nan, math.inf):
@@ -200,9 +179,15 @@ class TestSolveLinear:
                         t_nodes=np.linspace(0.0, T, nt), with_dt=with_dt)
 
     def test_zero_problem(self):
-        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), None, 2.0)
-        fld = solve_linear(prob, self.grid(T=2.0))
-        assert np.all(fld.values == 0.0)
+        # zero data with no source or a zero one; and a source seen only at t = 0
+        for f, grid in ((None, self.grid(T=2.0)),
+                        (lambda t: zero_spec(), self.grid(T=2.0, with_dt=True)),
+                        (lambda t: mode1(), GridSpec(x_nodes=np.linspace(0.0, L, 9),
+                                                     t_nodes=[0.0], with_dt=True))):
+            prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), f, 2.0)
+            fld = solve_linear(prob, grid, QUAD)
+            assert np.all(fld.values == 0.0)
+            assert fld.values_dt is None or np.all(fld.values_dt == 0.0)
 
     def test_velocity_mode_closed_form(self):
         prob = LinearProblem(P_EQ, zero_spec(), mode1(), None, 3.0)
@@ -295,6 +280,13 @@ class TestSolveLinear:
         prob = LinearProblem(P_EQ, zero_spec(), mode1(), lambda t: mode1(), 1.0)
         with pytest.raises(ValueError, match=r"x nodes must lie in \[0, l\]"):
             solve_linear(prob, GridSpec(x_nodes=x_nodes, t_nodes=[0.0, 1.0]))
+
+    @pytest.mark.parametrize("t", [-1.0, 1.5])
+    def test_rejects_times_outside_the_horizon(self, t):
+        prob = LinearProblem(P_EQ, zero_spec(), zero_spec(), lambda t: mode1(), 1.0)
+        grid = GridSpec(x_nodes=np.linspace(0.0, L, 5), t_nodes=sorted([0.5, t]))
+        with pytest.raises(ValueError, match=r"grid times must lie in \[0, horizon\]"):
+            solve_linear(prob, grid, QUAD)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0, 0.0])
     def test_rejects_non_positive_or_non_finite_horizon(self, horizon):

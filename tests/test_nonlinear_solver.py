@@ -387,6 +387,12 @@ class TestPicardSolve:
             with pytest.raises(ValueError, match="invalid collocation grid"):
                 PicardConfig(dt=bad)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+    def test_config_rejects_non_positive_or_non_finite_tol(self, tol):
+        # tol = inf let a sine source report converged after one sweep
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PicardConfig(tol=tol)
+
     def test_config_rejects_fractional_nx(self):
         # and the other integer settings, which would fail mid-solve
         for kwargs in ({"nx": 65.5}, {"max_iter": 2.5}, {"nx": 33, "n_modes": 4.5}):

@@ -191,12 +191,17 @@ class TestSpectrumContract:
         with pytest.raises(ValueError, match="finite"):
             SineSpectrum(l=L, coeffs=np.array([math.inf, -math.inf]))
 
-    # the fast check's sum of squares overflows, and numpy says so
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_accepts_finite_coefficients_whose_sum_overflows(self):
         s = SineSpectrum(l=L, coeffs=np.array([1e308, 1e308]))
         assert np.all(s.coeffs == 1e308)
         assert SineSpectrum(l=L, coeffs=np.array([-1e200, 1e200])).coeffs[1] == 1e200
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coeffs", [[1e200], [1e308, 1e308], [-1e308, -1e308],
+                                        [1e200, -1e200, 3.0]])
+    def test_large_finite_coefficients_construct_without_warning(self, coeffs):
+        # a sum of squares overflowed for these and warned "overflow encountered in dot"
+        assert SineSpectrum(l=L, coeffs=coeffs).coeffs.tolist() == coeffs
 
     def test_copies_its_input(self):
         data = np.array([1.0, 2.0, 3.0])
