@@ -93,6 +93,10 @@ _F_PROFILE = {"f_profile": (str, "sin_1"), "f_scale": (float, 1.0)}
 _SOURCE = {"source": (_choice("zero", "sine-gordon", "exp", "algebraic", "linear"), "zero"),
            "bias": (float, 0.0), "mu": (float, 0.25), "k0": (float, 1.0),
            "alpha": (float, 0.5), **_F_PROFILE}
+# the source settings each source kind reads; oracle's n_modes only sets the
+# number of sine modes of a linear source's spectrum
+_SOURCE_READS = {"zero": (), "sine-gordon": ("bias",), "exp": ("f_profile", "f_scale", "mu"),
+                 "algebraic": ("f_scale", "k0", "alpha"), "linear": ("f_profile", "f_scale")}
 
 _OPTIONS = {
     "modes": {**_PARAMS, "n": (int, 8), "k": (float, 0.5)},
@@ -134,13 +138,17 @@ def _read_config(path) -> dict:
 
 
 def _fill(args, options: dict) -> None:
-    """Give every option without a flag its config value, else its default."""
+    """Give every option without a flag its config value, else its default.
+
+    ``args.given`` records the options that a flag or config value set.
+    """
     config = _read_config(args.config) if args.config else {}
     unknown = sorted(set(config) - set(options))
     if unknown:
         raise UsageError(
             f"unknown config key(s) {', '.join(unknown)}; valid keys: "
             + ", ".join(sorted(options)))
+    args.given = {key for key in options if getattr(args, key) is not None or key in config}
     for key, (cast, default) in options.items():
         if getattr(args, key) is not None:
             continue  # flags win
@@ -152,7 +160,7 @@ def _fill(args, options: dict) -> None:
 
 def _given(args, *keys) -> dict:
     """The named options that a flag or config value set, for a library config."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in keys if key in args.given}
 
 
 def _params(args):
@@ -189,9 +197,20 @@ def _profile(name, scale, p, n_modes=None):
 
 
 def _build_source(args, p, n_modes):
+    """The source of ``args.source``; a given source setting that this kind
+    does not read is a usage error."""
     from . import sources
 
     kind = args.source
+    settings = set().union(*_SOURCE_READS.values())
+    reads = set(_SOURCE_READS[kind])
+    if args.command == "oracle":
+        settings.add("n_modes")
+        if kind == "linear":
+            reads.add("n_modes")
+    ignored = sorted((settings - reads) & args.given)
+    if ignored:
+        raise UsageError(f"source {kind!r} does not read the setting(s) {', '.join(ignored)}")
     if kind == "zero":
         return sources.ZeroSource()
     if kind == "sine-gordon":
@@ -274,7 +293,8 @@ def _cmd_solve_linear(args):
                     t_nodes=np.linspace(0.0, args.T, args.nt), with_dt=args.with_dt)
     g0 = _profile(args.g0, args.g0_scale, p, args.n_modes)
     g1 = _profile(args.g1, args.g1_scale, p, args.n_modes)
-    f = _build_source(args, p, args.n_modes).f if args.source == "linear" else None
+    source = _build_source(args, p, args.n_modes)
+    f = source.f if args.source == "linear" else None
     prob = LinearProblem(params=p, g0=g0, g1=g1, f=f, horizon=args.T)
     quad = QuadConfig() if args.quad_tol is None else QuadConfig(tol=args.quad_tol)
     fld = solve_linear(prob, grid, quad=quad)

@@ -43,6 +43,7 @@ beta = min(p, q) lower-bound the exponential decay of all three series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,10 +180,11 @@ def term_bounds(table: ModeTable, p: Params, t: float, kind: str = "green") -> n
     return np.where(table.over, np.minimum(split, fallback), out)
 
 
-# The tail bounds below are builders: ``bound = _closed_tail(p, t, kind)``
+# The tail bounds below are builders: ``bound, lead, power = _closed_tail(p, t, kind)``
 # computes every constant of the bound once, and ``bound(n0)`` then costs a
 # few float operations, so the depth search of a plan pays for its constants
-# once, not once per probed depth.
+# once, not once per probed depth.  ``lead/n0**power`` is the bound's
+# algebraic term, which gives the search its closed-form start.
 
 def _gauss_tail(sigma: float, t: float):
     """Bound n0 -> sum_{n > n0} exp(-sigma*n^2*t), the envelope of the fast parts."""
@@ -203,28 +205,53 @@ def _closed_tail(p: Params, t: float, kind: str):
     gauss = _gauss_tail(sigma, t)
     if kind == "green":
         slow = (rk / sigma) * e_p
-        return lambda n0: slow / n0
+        return (lambda n0: slow / n0), slow, 1
     if kind == "dt":
         slow = (2.0 * c2 / p.epsilon) * (rk / (2.0 * sigma)) * e_p
         fast = 0.5 * (rk + 1.0)
-        return lambda n0: slow / n0 + fast * gauss(n0)
+        return (lambda n0: slow / n0 + fast * gauss(n0)), slow, 1
     c_f = c2 * (p.a / sigma + c2 * math.pi**2 / (p.l**2 * sigma**2))
     slow = c_f * rk / (2.0 * sigma) * e_p
     fast = rk * (c2 / (2.0 * sigma) + p.epsilon)
-    return lambda n0: slow / (3.0 * n0**3) + fast * gauss(n0)
+    return (lambda n0: slow / (3.0 * n0**3) + fast * gauss(n0)), slow / 3.0, 3
 
 
-def _search_depth(tail, t: float, tol: float, kind: str) -> TruncationPlan:
+def _start_depth(lead: float, power: int, tol: float) -> int:
+    """Depth at which the algebraic tail lead/n**power falls to ``tol``, at most MODE_CAP."""
+    n = (lead / tol) ** (1.0 / power)
+    return int(n) if n < MODE_CAP else MODE_CAP
+
+
+def _search_depth(tail, t: float, tol: float, kind: str, start: int) -> TruncationPlan:
     """Smallest depth n <= MODE_CAP with ``tail(n) <= tol``, for a tail bound
-    that does not grow with n: doubling, then bisection.  Raises
-    TruncationError when even MODE_CAP modes do not reach ``tol``."""
+    that does not grow with n.  From ``start``, a closed-form estimate of
+    that depth, the search moves towards it in steps of 1, 2, 4, ... until
+    it brackets it, then bisects the bracket; any start gives the same
+    depth.  Raises TruncationError when even MODE_CAP modes do not reach
+    ``tol``."""
     if tail(MODE_CAP) > tol:
         raise TruncationError(
             f"series tolerance {tol:.3g} for kind {kind!r} at t = {t:.3g} is not "
             f"certifiable within {MODE_CAP} modes (tail bound {tail(MODE_CAP):.3g})")
-    lo, hi = 1, 1
-    while tail(hi) > tol:
-        lo, hi = hi, min(2 * hi, MODE_CAP)
+    start = min(max(start, 1), MODE_CAP)
+    step = 1
+    # the depth lies in [lo, hi]
+    if tail(start) <= tol:
+        lo, hi = 1, start
+        while hi - step >= 1:
+            if tail(hi - step) > tol:
+                lo = hi - step + 1
+                break
+            hi -= step
+            step *= 2
+    else:
+        lo = start + 1
+        while True:
+            hi = min(lo - 1 + step, MODE_CAP)
+            if tail(hi) <= tol:
+                break
+            lo = hi + 1
+            step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         if tail(mid) <= tol:
@@ -234,6 +261,7 @@ def _search_depth(tail, t: float, tol: float, kind: str) -> TruncationPlan:
     return TruncationPlan(n_terms=hi, tail_bound=tail(hi), tolerance=tol)
 
 
+@functools.lru_cache(maxsize=1)  # the planners ask for one Params many times in a row
 def _free_depth(p: Params) -> int:
     """n_free = max(nk, n2_star): every mode n >= n_free is overdamped with
     (b/h)^2 <= CHAIN_K."""
@@ -258,18 +286,22 @@ def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> 
     _check_request(t, tol, kind)
     n_free = _free_depth(p)
     head_table = mode_table(p, n_free - 1) if n_free > 1 else None
-    head_bounds = term_bounds(head_table, p, t, kind) if head_table is not None else None
+    head_bounds = None  # the head's term_bounds, once a probe goes below n_free - 1
     two_over_l = 2.0 / p.l
-    closed_tail = _closed_tail(p, t, kind)
+    closed_tail, lead, power = _closed_tail(p, t, kind)
 
     def tail(n: int) -> float:
+        nonlocal head_bounds
         n0 = max(n, n_free - 1, 1)
         total = closed_tail(n0)
         if n < n_free - 1:
-            total += float(np.sum(head_bounds[n:]))
+            if head_bounds is None:
+                head_bounds = term_bounds(head_table, p, t, kind)
+            total += float(head_bounds[n:].sum())
         return two_over_l * total
 
-    return _search_depth(tail, t, tol, kind)
+    start = max(_start_depth(two_over_l * lead, power, tol), n_free - 1)
+    return _search_depth(tail, t, tol, kind, start)
 
 
 def _remainder_tail(p: Params, t: float, kind: str):
@@ -293,7 +325,8 @@ def _remainder_tail(p: Params, t: float, kind: str):
     uses sum_{n > n0} g_n^-4 <= (l/pi)^4/(3 n0^3).  The fast parts,
     e^(-dp t)/(2w) <= rk/(2 sigma n^2) e^(-sigma n^2 t) and
     dp e^(-dp t)/(2w) <= (rk + 1)/2 e^(-sigma n^2 t), go under
-    the Gaussian envelope ``_gauss_tail``.
+    the Gaussian envelope ``_gauss_tail``.  Like ``_closed_tail`` it also
+    returns the algebraic term's coefficient and power.
     """
     rk, sigma, e_p = _chain(p, t)
     eps, c2 = p.epsilon, p.c**2
@@ -304,17 +337,19 @@ def _remainder_tail(p: Params, t: float, kind: str):
     gauss = _gauss_tail(sigma, t)
     if kind == "green":
         slow = (t * shift * rk / eps + off) * e_p
-        return lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + rk / (2.0 * sigma * n0**2) * gauss(n0)
-    slow = (max(1.0, 2.0 * lam * t) * shift * rk / eps + lam * off) * e_p
-    fast = 0.5 * (rk + 1.0)
-    return lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + fast * gauss(n0)
+        bound = lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + rk / (2.0 * sigma * n0**2) * gauss(n0)
+    else:
+        slow = (max(1.0, 2.0 * lam * t) * shift * rk / eps + lam * off) * e_p
+        fast = 0.5 * (rk + 1.0)
+        bound = lambda n0: slow * (l_pi4 / (3.0 * n0**3)) + fast * gauss(n0)
+    return bound, slow * l_pi4 / 3.0, 3
 
 
 def _asymptote_factor(p: Params, t: float, kind: str) -> float:
-    """Kernel asymptote times eps*gamma_n^2: e^(-lam t) for H_n, -lam e^(-lam t)
-    for H_n' (lam = c^2/eps), and 0 for the flux, whose two cancel."""
+    """Kernel asymptote times eps*gamma_n^2: e^(-lam t) for H_n ("green") and
+    -lam e^(-lam t) for H_n' ("dt"), lam = c^2/eps.  The flux's two cancel."""
     lam = p.c**2 / p.epsilon
-    return {"green": 1.0, "dt": -lam, "flux": 0.0}[kind] * math.exp(-lam * t)
+    return (1.0 if kind == "green" else -lam) * math.exp(-lam * t)
 
 
 def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
@@ -328,19 +363,48 @@ def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") ->
     (b/h)^2 <= CHAIN_K.  For the flux this is ``plan_truncation``.  Raises
     like ``plan_truncation``.
     """
-    _check_request(t, tol, kind)
     if kind == "flux":
         return plan_truncation(p, t, tol, kind=kind)
+    _check_request(t, tol, kind)
     n_min = max(_free_depth(p) - 1, 1)
     two_over_l = 2.0 / p.l
-    remainder_tail = _remainder_tail(p, t, kind)
+    remainder_tail, lead, power = _remainder_tail(p, t, kind)
 
     def tail(n: int) -> float:
         if n < n_min:
             return math.inf
         return two_over_l * remainder_tail(n)
 
-    return _search_depth(tail, t, tol, kind)
+    start = max(_start_depth(two_over_l * lead, power, tol), n_min)
+    return _search_depth(tail, t, tol, kind, start)
+
+
+# green_profile's one kept sine matrix: the bytes of the x values and the
+# wavenumber column it was built for, and sin(x gamma) itself
+_sines = (None, None, None)
+
+
+def _sine_matrix(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """sin(x gamma) as an (x, mode) matrix with at least gamma.size columns.
+
+    A table from ``mode_table`` is a view of the one table it keeps, so the
+    matrix is built over that table's whole gamma column (``gamma.base``)
+    when it holds at most SYNTH_ELEMS elements, and kept: a later profile at
+    the same x values on the same table takes its first columns, which are
+    bitwise the matrix of its own depth, since every element is
+    sin(x_i*gamma_n) on its own.  A larger matrix is built for the request
+    alone and not kept.
+    """
+    global _sines
+    full = gamma if gamma.base is None else gamma.base
+    if x.size * full.size > SYNTH_ELEMS:
+        return np.sin(x[:, None] * gamma[None, :])
+    key = x.tobytes()
+    held_key, held_gamma, held = _sines
+    if held_gamma is not full or held_key != key:
+        held = np.sin(x[:, None] * full[None, :])
+        _sines = (key, full, held)
+    return held
 
 
 def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
@@ -377,11 +441,17 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
         vals = kernel_dt_values(table, t)
     else:
         vals = flux_values(table, t)
-    asym = _asymptote_factor(p, t, kind) / p.epsilon
-    weights = (vals - asym / table.gamma**2) * np.sin(table.gamma * xi)
-    closed = asym * np.minimum(x, xi) * (p.l - np.maximum(x, xi)) / p.l
+    if kind == "flux":  # its two asymptotes cancel: nothing to subtract or add back
+        weights, closed = vals * np.sin(table.gamma * xi), 0.0
+    else:
+        asym = _asymptote_factor(p, t, kind) / p.epsilon
+        weights = (vals - asym / table.gamma**2) * np.sin(table.gamma * xi)
+        closed = asym * np.minimum(x, xi) * (p.l - np.maximum(x, xi)) / p.l
     step = max(1, SYNTH_ELEMS // x.size)
-    head = sum(np.sin(x[:, None] * table.gamma[None, i:i + step]) @ weights[i:i + step]
-               for i in range(0, n, step))
+    if step >= n:
+        head = _sine_matrix(x, table.gamma)[:, :n] @ weights
+    else:
+        head = sum(np.sin(x[:, None] * table.gamma[None, i:i + step]) @ weights[i:i + step]
+                   for i in range(0, n, step))
     out[interior] = closed + (2.0 / p.l) * head
     return out

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,6 +100,7 @@ class ModeTable:
     sinh-type (overdamped/critical) and -1 for sin-type modes; ``dm``/``dp``
     are the slow/fast decay rates h -+ omega (dm is the cancellation-free
     b^2/(h + omega) for overdamped modes and falls back to h otherwise).
+    The arrays of a table from ``mode_table`` are read-only.
     """
 
     epsilon: float
@@ -123,12 +124,46 @@ class ModeTable:
         return self.n.size
 
 
+# the columns of a ModeTable that hold one entry per mode
+_COLUMNS = ("n", "gamma", "b", "h", "omega", "sign", "dm", "dp", "osc", "crit", "over")
+# mode_table's memory: the last Params it was given, the deepest table built
+# for them and the prefix views of that table handed out so far, by depth
+_slot = (None, None, {})
+
+
 def mode_table(p: Params, n_max: int) -> ModeTable:
-    """Mode quantities for n = 1..n_max as arrays; n_max is an integer >= 1."""
+    """Mode quantities for n = 1..n_max as arrays; n_max is an integer >= 1.
+
+    Every per-mode quantity is elementwise in n, so the first m rows of a
+    deeper table are bitwise the m-mode table.  The function keeps one
+    slot: the last ``p``, the deepest table built for it and the views of
+    its first rows already handed out, one per depth.  A request for the
+    same ``p`` at or below that depth gets such a view (the same object for
+    the same depth); anything else builds a new table, which replaces the
+    slot.  So one table is kept alive, plus a small view object per depth
+    asked for, and table arrays are read-only: writing to one raises
+    ValueError.
+    """
     if not isinstance(n_max, numbers.Integral):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    global _slot
+    n_max = int(n_max)
+    params, base, views = _slot
+    if params != p or base.n_modes < n_max:
+        _slot = (None, None, {})  # let the old table go before the new one is built
+        base = _build_table(p, n_max)
+        views = {}
+        _slot = (p, base, views)
+    table = views.get(n_max)
+    if table is None:  # only views go out: numpy refuses to make them writeable again
+        table = views[n_max] = replace(base, **{k: getattr(base, k)[:n_max] for k in _COLUMNS})
+    return table
+
+
+def _build_table(p: Params, n_max: int) -> ModeTable:
+    """A fresh n_max-mode table with read-only arrays; ``mode_table`` without its slot."""
     n_idx = np.arange(1, n_max + 1, dtype=float)
     gamma = n_idx * (math.pi / p.l)
     b = p.c * gamma
@@ -141,11 +176,11 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     sign = np.where(osc, -1.0, 1.0)
     dp = h + omega
     dm = np.where(over, b * b / dp, h)
-    return ModeTable(
-        epsilon=p.epsilon, a=p.a, c=p.c, l=p.l,
-        n=n_idx, gamma=gamma, b=b, h=h, omega=omega, sign=sign,
-        dm=dm, dp=dp, osc=osc, crit=crit, over=over,
-    )
+    columns = dict(n=n_idx, gamma=gamma, b=b, h=h, omega=omega, sign=sign,
+                   dm=dm, dp=dp, osc=osc, crit=crit, over=over)
+    for arr in columns.values():
+        arr.flags.writeable = False
+    return ModeTable(epsilon=p.epsilon, a=p.a, c=p.c, l=p.l, **columns)
 
 
 def _maclaurin(table: ModeTable, col, tt, kind: str):
@@ -157,11 +192,13 @@ def _maclaurin(table: ModeTable, col, tt, kind: str):
     h = col(table.h)
     x = col(table.omega) * tt
     y = col(table.sign) * x * x
-    sinc_s = 1.0 + y / 6.0 * (1.0 + y / 20.0 * (1.0 + y / 42.0))
+    # y = 0 (critical modes, t = 0) makes both series exactly 1: skip them
+    exact = not y.any()
+    sinc_s = 1.0 if exact else 1.0 + y / 6.0 * (1.0 + y / 20.0 * (1.0 + y / 42.0))
     decay = np.exp(-h * tt)
     if kind == "green":
         return tt * decay * sinc_s
-    cosh_s = 1.0 + y / 2.0 * (1.0 + y / 12.0 * (1.0 + y / 30.0))
+    cosh_s = 1.0 if exact else 1.0 + y / 2.0 * (1.0 + y / 12.0 * (1.0 + y / 30.0))
     if kind == "dt":
         return decay * (cosh_s - h * tt * sinc_s)
     eps = table.epsilon

@@ -5,7 +5,8 @@ import numpy as np
 from scipy.fft import dst
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from strip_solver.green_kernel import green_profile, plan_truncation
+from strip_solver.errors import TruncationError
+from strip_solver.green_kernel import MODE_CAP, TruncationPlan, green_profile, plan_truncation
 from strip_solver.modes import kernel_values, mode_table
 from strip_solver.nonlinear_solver import volterra_convolve
 from strip_solver.sources import depends_on_u, evaluate_source
@@ -68,6 +69,27 @@ def kummer_reference(p, x, xi, t, n_terms):
         closed = decay * min(x, xi) * (l - max(x, xi)) / l
         return {"green": float(closed + 2 / l * head["green"]),
                 "dt": float(-lam * closed + 2 / l * head["dt"])}
+
+
+def doubling_search(tail, t, tol, kind, start=None):
+    """Smallest depth n <= MODE_CAP with tail(n) <= tol by plain doubling
+    from 1, then bisection: the depth search the planners used before they
+    started from a closed-form estimate.  Takes and ignores the planners'
+    ``start``, so it can stand in for ``green_kernel._search_depth``."""
+    if tail(MODE_CAP) > tol:
+        raise TruncationError(
+            f"series tolerance {tol:.3g} for kind {kind!r} at t = {t:.3g} is not "
+            f"certifiable within {MODE_CAP} modes (tail bound {tail(MODE_CAP):.3g})")
+    lo, hi = 1, 1
+    while tail(hi) > tol:
+        lo, hi = hi, min(2 * hi, MODE_CAP)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return TruncationPlan(n_terms=hi, tail_bound=tail(hi), tolerance=tol)
 
 
 def kernel_l1_reference(p, n):

@@ -226,6 +226,54 @@ class TestInputErrors:
         self.assert_usage_error(res)
         assert message in res.stderr
 
+    @pytest.mark.parametrize("command,argv,ignored", [
+        ("oracle", ("--source", "zero", "--bias", "0.3", "--mu", "9", "--n-modes", "5"),
+         "bias, mu, n_modes"),
+        ("oracle", ("--source", "sine-gordon", "--f-profile", "poly"), "f_profile"),
+        ("oracle", ("--source", "exp", "--k0", "2", "--n-modes", "8"), "k0, n_modes"),
+        ("oracle", ("--source", "algebraic", "--mu", "0.5", "--bias", "0.1"), "bias, mu"),
+        ("oracle", ("--source", "linear", "--alpha", "0.7"), "alpha"),
+        ("solve-nonlinear", ("--source", "zero", "--f-scale", "2"), "f_scale"),
+        ("solve-nonlinear", ("--source", "sine-gordon", "--mu", "0.5"), "mu"),
+        ("solve-nonlinear", ("--source", "exp", "--bias", "0.2", "--alpha", "1"),
+         "alpha, bias"),
+        ("solve-nonlinear", ("--source", "algebraic", "--f-profile", "poly"), "f_profile"),
+        ("solve-nonlinear", ("--source", "linear", "--k0", "3"), "k0"),
+        ("solve-linear", ("--source", "zero", "--f-profile", "poly", "--f-scale", "2"),
+         "f_profile, f_scale"),
+    ])
+    def test_source_settings_the_kind_ignores(self, tmp_path, run_cli, command, argv, ignored):
+        message = f"does not read the setting(s) {ignored}"
+        base = {"oracle": ("--T", "0.1", "--nx", "9"),
+                "solve-nonlinear": ("--T", "0.1", "--nx", "9", "--n-modes", "4"),
+                "solve-linear": ("--T", "0.1", "--nx", "9", "--nt", "3")}[command]
+        res = run_cli(command, *base, *argv)
+        self.assert_usage_error(res)
+        assert message in res.stderr
+        # the same settings as config keys
+        keys = dict(zip(argv[::2], argv[1::2]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                               for flag, value in keys.items()))
+        res = run_cli(command, *base, "--config", cfg)
+        self.assert_usage_error(res)
+        assert message in res.stderr
+
+    def test_settings_the_source_reads_and_solver_settings_are_accepted(self, run_cli):
+        # n_modes is a Picard setting of solve-nonlinear whatever the source
+        runs = (("oracle", "--T", "0.02", "--nx", "9", "--t-out-every", "0.01",
+                 "--source", "linear", "--f-profile", "poly", "--f-scale", "0.5",
+                 "--n-modes", "4"),
+                ("oracle", "--T", "0.02", "--nx", "9", "--t-out-every", "0.01",
+                 "--source", "algebraic", "--f-scale", "0.5", "--k0", "2", "--alpha", "0.7"),
+                ("solve-nonlinear", "--T", "0.1", "--nx", "9", "--n-modes", "4",
+                 "--dt", "0.05", "--source", "exp", "--mu", "0.5", "--f-scale", "0.2"),
+                ("solve-nonlinear", "--T", "0.1", "--nx", "9", "--n-modes", "4",
+                 "--dt", "0.05"))
+        for argv in runs:
+            res = run_cli(*argv)
+            assert res.returncode == 0, (argv, res.stderr)
+
     def test_oracle_infinite_horizon(self, run_cli):
         res = run_cli("oracle", "--T", "inf", "--nx", "15")
         self.assert_usage_error(res)

@@ -133,3 +133,52 @@ def test_banded_solve_works_before_any_oracle_solve():
         "print(np.allclose(a @ x, b, rtol=0.0, atol=1e-13))\n"
     )
     assert _run_fresh(script) == "True"
+
+
+# perfbench's tracer wraps library names from outside (its WRAPPED table); a
+# change that stops calling one through its module must update that table
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_names() -> list:
+    """(submodule, attribute) of every WRAPPED entry, read with ast, not imported."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    modules = {alias.asname or alias.name: alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "strip_solver"
+               for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            return [(modules[entry.elts[0].id], entry.elts[1].value)
+                    for entry in node.value.elts]
+    raise AssertionError(f"{TRACING} defines no WRAPPED table")
+
+
+def test_every_traced_name_is_a_library_callable():
+    names = _traced_names()
+    assert ("green_kernel", "mode_table") in names and ("green_kernel", "plan_truncation") in names
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not callable(getattr(import_module(f"strip_solver.{module}"), attr, None))]
+    assert missing == []
+
+
+def test_flux_profile_calls_the_traced_names_through_the_module(monkeypatch):
+    from strip_solver import green_kernel
+    from strip_solver.modes import Params
+
+    calls = []
+
+    def spy(name):
+        original = getattr(green_kernel, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return record
+
+    for name in ("mode_table", "plan_truncation"):
+        monkeypatch.setattr(green_kernel, name, spy(name))
+    p = Params(epsilon=1.0, a=1.0, c=1.0, l=3.0)
+    green_kernel.green_profile(p, [1.0, 2.0], 1.3, 0.5, kind="flux", tol=1e-5)
+    # the plan fetches its two-mode head table, the profile its own table
+    assert calls == ["plan_truncation", "mode_table", "mode_table"]

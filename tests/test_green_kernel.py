@@ -256,7 +256,7 @@ class TestAcceleratedSeries:
             table = mode_table(p, 10 * max(depths) + 100)
             asym = (1.0 if kind == "green" else -lam) * math.exp(-lam * t) / p.epsilon
             rem = np.abs(values(table, t) - asym / table.gamma**2)
-            tail = _remainder_tail(p, t, kind)
+            tail, _, _ = _remainder_tail(p, t, kind)
             for n in depths:
                 bound = 2.0 / p.l * tail(n)
                 direct = np.sum(rem[n:]) * 2.0 / p.l

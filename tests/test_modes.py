@@ -96,6 +96,18 @@ class TestKernel:
         h = kernel_values(mode_table(P_EQ, 1), 1.0)
         assert h[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
+    def test_critical_modes_take_the_closed_form_exactly(self):
+        # omega = 0 makes both Maclaurin series exactly 1, so H = t e^(-ht),
+        # H' = e^(-ht)(1 - ht) and the flux follow bitwise, on both time paths
+        table = mode_table(P_EQ, 1)
+        h, eps, c2 = table.h, P_EQ.epsilon, P_EQ.c**2
+        for t in (1e-9, 0.3, 1.0, 7.5):
+            decay = np.exp(-h * t)
+            for tt, col in ((t, lambda v: v), (np.array([0.5, t]), lambda v: v[:, 1])):
+                assert col(kernel_values(table, tt)) == t * decay
+                assert col(kernel_dt_values(table, tt)) == decay * (1.0 - h * t)
+                assert col(flux_values(table, tt)) == decay * (eps + (c2 - eps * h) * t)
+
     def test_derivative_values(self):
         hd = kernel_dt_values(mode_table(P_EQ, 2), 1.0)
         assert hd[0] == pytest.approx(0.0, abs=1e-15)
