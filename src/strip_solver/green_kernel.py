@@ -261,7 +261,7 @@ def _search_depth(tail, t: float, tol: float, kind: str, start: int) -> Truncati
     return TruncationPlan(n_terms=hi, tail_bound=tail(hi), tolerance=tol)
 
 
-@functools.lru_cache(maxsize=1)  # the planners ask for one Params many times in a row
+@functools.lru_cache(maxsize=1)  # a green-series unit plans 60 times per Params in a row
 def _free_depth(p: Params) -> int:
     """n_free = max(nk, n2_star): every mode n >= n_free is overdamped with
     (b/h)^2 <= CHAIN_K."""
@@ -346,10 +346,10 @@ def _remainder_tail(p: Params, t: float, kind: str):
 
 
 def _asymptote_factor(p: Params, t: float, kind: str) -> float:
-    """Kernel asymptote times eps*gamma_n^2: e^(-lam t) for H_n ("green") and
-    -lam e^(-lam t) for H_n' ("dt"), lam = c^2/eps.  The flux's two cancel."""
+    """Kernel asymptote times eps*gamma_n^2: e^(-lam t) for H_n, -lam e^(-lam t)
+    for H_n' (lam = c^2/eps), and 0 for the flux, whose two cancel."""
     lam = p.c**2 / p.epsilon
-    return (1.0 if kind == "green" else -lam) * math.exp(-lam * t)
+    return {"green": 1.0, "dt": -lam, "flux": 0.0}[kind] * math.exp(-lam * t)
 
 
 def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
@@ -379,32 +379,29 @@ def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") ->
     return _search_depth(tail, t, tol, kind, start)
 
 
-# green_profile's one kept sine matrix: the bytes of the x values and the
-# wavenumber column it was built for, and sin(x gamma) itself
-_sines = (None, None, None)
+# green_profile's one kept sine matrix: the x values and Params it was
+# built for, and sin(x gamma) over the modes of the deepest request so far
+_sines = (None, None)
 
 
-def _sine_matrix(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """sin(x gamma) as an (x, mode) matrix with at least gamma.size columns.
+def _sine_matrix(p: Params, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """sin(x gamma) as an (x, mode) matrix of gamma.size columns, for the
+    first gamma.size wavenumbers of ``p`` and at most SYNTH_ELEMS elements.
 
-    A table from ``mode_table`` is a view of the one table it keeps, so the
-    matrix is built over that table's whole gamma column (``gamma.base``)
-    when it holds at most SYNTH_ELEMS elements, and kept: a later profile at
-    the same x values on the same table takes its first columns, which are
-    bitwise the matrix of its own depth, since every element is
-    sin(x_i*gamma_n) on its own.  A larger matrix is built for the request
-    alone and not kept.
+    Every element is sin(x_i*gamma_n) on its own, so the first m columns of
+    a deeper matrix are bitwise the m-column matrix.  The function keeps
+    the last matrix built: a request at the same x values and ``p`` with at
+    most its columns gets a slice of it, and anything else builds a new
+    matrix over ``gamma`` alone, which replaces it.
     """
     global _sines
-    full = gamma if gamma.base is None else gamma.base
-    if x.size * full.size > SYNTH_ELEMS:
-        return np.sin(x[:, None] * gamma[None, :])
-    key = x.tobytes()
-    held_key, held_gamma, held = _sines
-    if held_gamma is not full or held_key != key:
-        held = np.sin(x[:, None] * full[None, :])
-        _sines = (key, full, held)
-    return held
+    key = (x.tobytes(), p)
+    held_key, held = _sines
+    if held_key != key or held.shape[1] < gamma.size:
+        _sines = (None, None)  # let the old matrix go before the new one is built
+        held = np.sin(x[:, None] * gamma[None, :])
+        _sines = (key, held)
+    return held[:, :gamma.size]
 
 
 def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
@@ -441,7 +438,7 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
         vals = kernel_dt_values(table, t)
     else:
         vals = flux_values(table, t)
-    if kind == "flux":  # its two asymptotes cancel: nothing to subtract or add back
+    if kind == "flux":  # its asymptote is 0: nothing to subtract or add back
         weights, closed = vals * np.sin(table.gamma * xi), 0.0
     else:
         asym = _asymptote_factor(p, t, kind) / p.epsilon
@@ -449,7 +446,7 @@ def green_profile(p: Params, xs, xi: float, t: float, *, kind: str = "green",
         closed = asym * np.minimum(x, xi) * (p.l - np.maximum(x, xi)) / p.l
     step = max(1, SYNTH_ELEMS // x.size)
     if step >= n:
-        head = _sine_matrix(x, table.gamma)[:, :n] @ weights
+        head = _sine_matrix(p, x, table.gamma) @ weights
     else:
         head = sum(np.sin(x[:, None] * table.gamma[None, i:i + step]) @ weights[i:i + step]
                    for i in range(0, n, step))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -125,10 +125,13 @@ class ModeTable:
 
 
 # the columns of a ModeTable that hold one entry per mode
-_COLUMNS = ("n", "gamma", "b", "h", "omega", "sign", "dm", "dp", "osc", "crit", "over")
+_COLUMNS = tuple(f.name for f in fields(ModeTable) if f.type == "np.ndarray")
 # mode_table's memory: the last Params it was given, the deepest table built
-# for them and the prefix views of that table handed out so far, by depth
+# for them and the views of its first rows handed out so far, by depth, at
+# most _MAX_VIEWS of them (a green-series unit asks for up to 31 depths of
+# one Params; a view is ~1.5 KB)
 _slot = (None, None, {})
+_MAX_VIEWS = 64
 
 
 def mode_table(p: Params, n_max: int) -> ModeTable:
@@ -137,12 +140,12 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     Every per-mode quantity is elementwise in n, so the first m rows of a
     deeper table are bitwise the m-mode table.  The function keeps one
     slot: the last ``p``, the deepest table built for it and the views of
-    its first rows already handed out, one per depth.  A request for the
-    same ``p`` at or below that depth gets such a view (the same object for
-    the same depth); anything else builds a new table, which replaces the
-    slot.  So one table is kept alive, plus a small view object per depth
-    asked for, and table arrays are read-only: writing to one raises
-    ValueError.
+    its first rows already handed out, one per depth and at most
+    _MAX_VIEWS of them.  A request for the same ``p`` at or below that depth
+    gets that table or such a view; anything else builds a new table, which
+    replaces the slot.  So one table is kept alive, plus a bounded number
+    of small view objects, and table arrays are read-only: writing to one
+    raises ValueError.
     """
     if not isinstance(n_max, numbers.Integral):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -154,16 +157,22 @@ def mode_table(p: Params, n_max: int) -> ModeTable:
     if params != p or base.n_modes < n_max:
         _slot = (None, None, {})  # let the old table go before the new one is built
         base = _build_table(p, n_max)
-        views = {}
+        views = {n_max: base}
         _slot = (p, base, views)
     table = views.get(n_max)
-    if table is None:  # only views go out: numpy refuses to make them writeable again
+    if table is None:
+        if len(views) >= _MAX_VIEWS:  # a long depth sweep: start the memo afresh
+            views.clear()
         table = views[n_max] = replace(base, **{k: getattr(base, k)[:n_max] for k in _COLUMNS})
     return table
 
 
 def _build_table(p: Params, n_max: int) -> ModeTable:
-    """A fresh n_max-mode table with read-only arrays; ``mode_table`` without its slot."""
+    """A fresh n_max-mode table with read-only arrays; ``mode_table`` without its slot.
+
+    Each column is a view of a read-only array, so numpy refuses to make it
+    writeable again.
+    """
     n_idx = np.arange(1, n_max + 1, dtype=float)
     gamma = n_idx * (math.pi / p.l)
     b = p.c * gamma
@@ -180,7 +189,8 @@ def _build_table(p: Params, n_max: int) -> ModeTable:
                    dm=dm, dp=dp, osc=osc, crit=crit, over=over)
     for arr in columns.values():
         arr.flags.writeable = False
-    return ModeTable(epsilon=p.epsilon, a=p.a, c=p.c, l=p.l, **columns)
+    return ModeTable(epsilon=p.epsilon, a=p.a, c=p.c, l=p.l,
+                     **{k: arr[:] for k, arr in columns.items()})
 
 
 def _maclaurin(table: ModeTable, col, tt, kind: str):

@@ -126,13 +126,13 @@ class TestSeriesSwitch:
         assert np.all(jump_dt <= 1e-9 * (np.abs(hd_lo) + np.abs(hdd_lo) * t_lo))
 
 
-COLUMNS = ("n", "gamma", "b", "h", "omega", "sign", "dm", "dp", "osc", "crit", "over")
+COLUMNS = modes._COLUMNS
 
 
 def _forget_tables():
     """Empty the kept mode table and the kept sine matrix: the next call is cold."""
     modes._slot = (None, None, {})
-    green_kernel._sines = (None, None, None)
+    green_kernel._sines = (None, None)
 
 
 def assert_fresh(table, p, n_modes):
@@ -177,32 +177,42 @@ class TestTableReuse:
                 with pytest.raises(ValueError):
                     column.flags.writeable = True
 
-    def test_same_depth_returns_the_same_view(self):
-        p = Params(epsilon=1.0, a=1.0, c=1.0, l=math.pi)
-        _forget_tables()
-        deep = mode_table(p, 30)
-        assert mode_table(p, 30) is deep
-        assert mode_table(p, 12) is mode_table(p, np.int64(12))
+    def test_columns_are_the_per_mode_arrays(self):
+        table = modes._build_table(Params(epsilon=1.0, a=1.0, c=1.0, l=math.pi), 4)
+        arrays = [f.name for f in dataclasses.fields(table)
+                  if isinstance(getattr(table, f.name), np.ndarray)]
+        assert list(COLUMNS) == arrays
 
     def test_slot_holds_at_most_one_base_table(self):
         p = Params(epsilon=1.0, a=1.0, c=1.0, l=math.pi)
         q = Params(epsilon=2.0, a=2.0, c=1.0, l=math.pi)
         _forget_tables()
-        # a handed-out column is a view; its base is the slot table's column
-        first = weakref.ref(mode_table(p, 50).gamma.base)
-        mode_table(p, 10)
-        deeper = weakref.ref(mode_table(p, 80).gamma.base)
+        first = weakref.ref(mode_table(p, 50).gamma)
+        assert np.shares_memory(mode_table(p, 10).gamma, first())  # a view of the kept table
+        deeper = mode_table(p, 80)
         assert first() is None  # the deeper build replaced the 50-mode table
-        for n in (80, 3, 17):
+        deeper = weakref.ref(deeper.gamma)
+        for n in (80, 3, 17, 3):
             mode_table(p, n)
         held, base, views = modes._slot
-        assert held == p and base.n_modes == 80 and base.gamma is deeper()
+        assert held == p and base.gamma is deeper()
         assert sorted(views) == [3, 17, 80]
-        assert all(view.gamma.base is base.gamma for view in views.values())
+        assert all(np.shares_memory(view.gamma, base.gamma) for view in views.values())
         del held, base, views
         mode_table(q, 5)
         assert deeper() is None
         assert modes._slot[0] == q and modes._slot[1].n_modes == 5
+
+    def test_a_depth_sweep_keeps_a_bounded_number_of_views(self):
+        p = Params(epsilon=1.0, a=1.0, c=1.0, l=math.pi)
+        _forget_tables()
+        deep = 3 * modes._MAX_VIEWS
+        base = mode_table(p, deep)
+        for n in range(deep, 0, -1):
+            assert_fresh(mode_table(p, n), p, n)
+            held, kept, views = modes._slot
+            assert kept is base and 1 <= len(views) <= modes._MAX_VIEWS
+            assert all(view.n_modes == m for m, view in views.items())
 
 
 class TestProfileOrder:
@@ -255,25 +265,35 @@ class TestProfileOrder:
         _forget_tables()
         assert [run(xs) for xs in grids] == cold
 
-    def test_kept_sine_matrix_is_at_most_one_chunk(self):
+    def test_kept_sine_matrix_is_one_chunk_of_the_deepest_request(self):
         xs = np.linspace(0.0, math.pi, 2000)
         _forget_tables()
         small = green_profile(self.P, self.XS, 1.1, 0.7, n_terms=600).tobytes()
         kept = green_kernel._sines
-        assert kept[2].shape == (self.XS.size - 2, 600)
-        # at 1,998 interior x values a 600-mode profile is summed in chunks, and
-        # a 100-mode one on the 600-mode table would need a 1,998 x 600 matrix,
-        # more than SYNTH_ELEMS: neither keeps its sines
+        assert kept[1].shape == (self.XS.size - 2, 600)
+        green_profile(self.P, self.XS, 1.1, 0.7, n_terms=200)
+        assert green_kernel._sines is kept  # a shallower request takes a slice
+        # at 1,998 interior x values a 600-mode profile is summed in chunks
+        # and keeps nothing; a 100-mode one is one 1,998 x 100 chunk, kept
         wide = [green_profile(self.P, xs, 1.1, 0.7, n_terms=n).tobytes() for n in (600, 100)]
-        assert green_kernel._sines is kept
+        assert green_kernel._sines[1].shape == (xs.size - 2, 100)
         cold = []
         for n in (600, 100):
             _forget_tables()
-            mode_table(self.P, 600)
             cold.append(green_profile(self.P, xs, 1.1, 0.7, n_terms=n).tobytes())
-            assert green_kernel._sines == (None, None, None)
         assert wide == cold
         assert green_profile(self.P, self.XS, 1.1, 0.7, n_terms=600).tobytes() == small
+        assert green_kernel._sines[1].shape == (self.XS.size - 2, 600)
+
+    def test_other_params_get_their_own_sines(self):
+        xs = np.linspace(0.1, 1.9, 13)  # interior points of both strips
+        for l in (math.nextafter(self.P.l, 0.0), 2.0):
+            q = dataclasses.replace(self.P, l=l)
+            _forget_tables()
+            cold = green_profile(q, xs, 1.1, 0.7, n_terms=60).tobytes()
+            _forget_tables()
+            green_profile(self.P, xs, 1.1, 0.7, n_terms=60)
+            assert green_profile(q, xs, 1.1, 0.7, n_terms=60).tobytes() == cold
 
 
 def _reference_plan(planner, p, t, tol, kind):
@@ -339,6 +359,6 @@ class TestCertifiedTails:
         assume(n <= CHECKED_DEPTH)
         table = mode_table(p, 8 * n)
         values = {"green": kernel_values, "dt": kernel_dt_values, "flux": flux_values}[kind]
-        asym = 0.0 if kind == "flux" else green_kernel._asymptote_factor(p, t, kind) / p.epsilon
+        asym = green_kernel._asymptote_factor(p, t, kind) / p.epsilon
         dropped = np.abs(values(table, t) - asym / table.gamma**2)[n:]
         assert 2.0 / p.l * np.sum(dropped) <= plan.tail_bound * (1.0 + 1e-9)
