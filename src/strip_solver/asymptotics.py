@@ -45,12 +45,25 @@ def default_window(horizon: float) -> tuple:
     return (max(5.0, 0.2 * horizon), 0.9 * horizon)
 
 
-def decay_fit(ts, sup_norms, window: tuple | None = None) -> DecayFit:
-    """Fit a line through (t, log sup_norm) on the window; rate = -slope."""
-    ts = np.asarray(ts, dtype=float)
-    sups = np.maximum(np.asarray(sup_norms, dtype=float), _FLOOR)
+def _history(ts, sup_norms) -> tuple:
+    """Times and sup norms as matching 1-D float arrays; rejects non-finite
+    times and non-finite or negative sup norms (zeros are fine)."""
+    ts, sups = np.asarray(ts, dtype=float), np.asarray(sup_norms, dtype=float)
     if ts.shape != sups.shape or ts.ndim != 1:
         raise ValueError("need matching 1-D arrays of times and sup-norms")
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
+    if not ((sups >= 0.0) & (sups < np.inf)).all():  # also rejects NaN
+        raise ValueError("sup norms must be finite and non-negative")
+    return ts, sups
+
+
+def decay_fit(ts, sup_norms, window: tuple | None = None) -> DecayFit:
+    """Fit a line through (t, log sup_norm) on the window; rate = -slope.
+    Zero sup norms count as 1e-300; arrays that are not matching and 1-D,
+    non-finite times and non-finite or negative sup norms raise ValueError."""
+    ts, sups = _history(ts, sup_norms)
+    sups = np.maximum(sups, _FLOOR)
     if window is None:
         window = (float(ts[0]), float(ts[-1]))
     lo, hi = window
@@ -72,12 +85,12 @@ def algebraic_decay_check(ts, sup_norms, alpha: float) -> tuple:
 
     Returns (bounded, sup_of_product).  Boundedness is judged from the
     log-log slope of the product over the later half of the tail: a slope
-    above ``SLOPE_TOL`` flags growth.  Requires coverage of t in [1, 50].
+    above ``SLOPE_TOL`` flags growth.  Requires coverage of t in [1, 50];
+    rejects data as ``decay_fit`` does.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    ts = np.asarray(ts, dtype=float)
-    sups = np.asarray(sup_norms, dtype=float)
+    ts, sups = _history(ts, sup_norms)
     tail = ts >= 1.0
     if int(np.sum(tail)) < MIN_SAMPLES or ts.min() > 1.0 or ts.max() < 50.0:
         raise ValueError("history must cover t in [1, 50] with enough samples")

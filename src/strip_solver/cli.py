@@ -408,6 +408,8 @@ def _sup_series_from_csv(path):
             t, u = float(parts[t_col]), abs(float(parts[u_col]))
         except (IndexError, ValueError):
             raise UsageError(f"input CSV row {ln!r} lacks a numeric t or u")
+        if not (math.isfinite(t) and math.isfinite(u)):
+            raise UsageError(f"input CSV row {ln!r} has a non-finite t or u")
         sup[t] = max(sup.get(t, 0.0), u)
     ts = np.array(sorted(sup))
     return ts, np.array([sup[t] for t in ts])

@@ -21,16 +21,18 @@ certifies the head depth with a bound C(t)/gamma_n^4 on the remainders of
 overdamped modes (``_remainder_tail``); tolerances of 1e-10 take a few
 thousand modes.
 
-``plan_truncation`` certifies the direct partial sum instead (per-mode
-``term_bounds`` and ``_closed_tail`` beyond a depth).  It combines
+``plan_truncation`` certifies the direct partial sum instead, with the
+closed-form tail ``_closed_tail``, which combines
 
   * the uniform kernel bound |H_n| <= (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2
     valid for overdamped modes with (b_n/h_n)^2 <= k, with k = CHAIN_K = 1/2
-    fixed,
+    fixed, and
   * Gaussian-in-n envelopes exp(-h_n*t) <= exp(-sigma*n^2*t) for the fast
-    components of the derivative and flux series, and
-  * per-mode bounds on the finitely many oscillatory or near-critical
-    modes that the closed forms do not cover.
+    components of the derivative and flux series.
+
+Both plans are at least max(n_free - 1, 1) modes deep (``_plan``); every
+mode beyond is overdamped with (b/h)^2 <= CHAIN_K, so no plan evaluates a
+mode.  ``term_bounds`` bounds each mode, oscillatory ones included.
 
 Flux series terms gain an extra n^-2 factor because the slow coefficient
 c^2 - eps*(h_n - omega_n) collapses to c^2*(a - (h-omega))/(h+omega); the
@@ -136,7 +138,7 @@ def _chain(p: Params, t: float) -> tuple[float, float, float]:
     return rk, sigma_rate(p), math.exp(-decay_rate_p(p) * t)
 
 
-def term_bounds(table: ModeTable, p: Params, t: float, kind: str = "green") -> np.ndarray:
+def term_bounds(table: ModeTable, t: float, kind: str = "green") -> np.ndarray:
     """Certified upper bounds on the kernel of every table mode at time t.
 
     ``kind`` selects the kernel: "green" bounds |H_n(t)|, "dt" bounds
@@ -146,12 +148,14 @@ def term_bounds(table: ModeTable, p: Params, t: float, kind: str = "green") -> n
     uniform bound (1-k)^(-1/2)/(q - a/2) * exp(-p*t)/n^2, and near-critical
     overdamped modes (where that chain is invalid) fall back to the direct
     bound exp(-(h-omega)*t)*min(t, 1/(2*omega)).  The H' and flux bounds
-    take the smaller of the two-exponential split and the envelope bound.
-    Raises ValueError unless 0 <= t < inf and ``kind`` is one of KINDS.
+    take the smaller of the two-exponential split and the envelope bound,
+    all from the table's parameters.  Raises ValueError unless
+    0 <= t < inf and ``kind`` is one of KINDS.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be non-negative and finite, got {t}")
     _check_kind(kind)
+    p = Params(epsilon=table.epsilon, a=table.a, c=table.c, l=table.l)
     c2 = p.c**2
     h, om, n = table.h, table.omega, table.n
     dm, dp = table.dm, table.dp
@@ -224,34 +228,20 @@ def _start_depth(lead: float, power: int, tol: float) -> int:
 
 def _search_depth(tail, t: float, tol: float, kind: str, start: int) -> TruncationPlan:
     """Smallest depth n <= MODE_CAP with ``tail(n) <= tol``, for a tail bound
-    that does not grow with n.  From ``start``, a closed-form estimate of
-    that depth, the search moves towards it in steps of 1, 2, 4, ... until
-    it brackets it, then bisects the bracket; any start gives the same
-    depth.  Raises TruncationError when even MODE_CAP modes do not reach
-    ``tol``."""
+    that does not grow with n and a ``start`` at most that depth.  From
+    ``start`` the search steps up by 1, 2, 4, ... until it brackets the
+    depth, then bisects the bracket.  Raises TruncationError when even
+    MODE_CAP modes do not reach ``tol``."""
     if tail(MODE_CAP) > tol:
         raise TruncationError(
             f"series tolerance {tol:.3g} for kind {kind!r} at t = {t:.3g} is not "
             f"certifiable within {MODE_CAP} modes (tail bound {tail(MODE_CAP):.3g})")
-    start = min(max(start, 1), MODE_CAP)
+    # the depth lies in [lo, hi] once tail(hi) <= tol
+    lo = hi = min(max(start, 1), MODE_CAP)
     step = 1
-    # the depth lies in [lo, hi]
-    if tail(start) <= tol:
-        lo, hi = 1, start
-        while hi - step >= 1:
-            if tail(hi - step) > tol:
-                lo = hi - step + 1
-                break
-            hi -= step
-            step *= 2
-    else:
-        lo = start + 1
-        while True:
-            hi = min(lo - 1 + step, MODE_CAP)
-            if tail(hi) <= tol:
-                break
-            lo = hi + 1
-            step *= 2
+    while tail(hi) > tol:
+        lo, hi = hi + 1, min(hi + step, MODE_CAP)
+        step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         if tail(mid) <= tol:
@@ -269,39 +259,36 @@ def _free_depth(p: Params) -> int:
     return max(cls.nk, cls.n2_star)
 
 
+def _plan(p: Params, t: float, tol: float, kind: str, tail_of) -> TruncationPlan:
+    """Smallest depth N >= max(n_free - 1, 1) whose tail (2/l)*bound(N) meets
+    ``tol``, for ``bound, lead, power = tail_of(p, t, kind)``.  The tail is
+    at least its algebraic term (2/l)*lead/N**power, so the depth where that
+    term meets ``tol`` starts the search at or below the planned depth."""
+    _check_request(t, tol, kind)
+    n_min = max(_free_depth(p) - 1, 1)
+    two_over_l = 2.0 / p.l
+    bound, lead, power = tail_of(p, t, kind)
+
+    def tail(n: int) -> float:
+        return two_over_l * bound(n) if n >= n_min else math.inf
+
+    start = max(_start_depth(two_over_l * lead, power, tol), n_min)
+    return _search_depth(tail, t, tol, kind, start)
+
+
 def plan_truncation(p: Params, t: float, tol: float, *, kind: str = "green") -> TruncationPlan:
-    """Smallest mode count whose certified tail bound falls below ``tol``.
+    """Smallest mode count N >= max(n_free - 1, 1) whose certified tail
+    bound (``_closed_tail``) falls below ``tol``.
 
     This certifies the *direct* partial sum of the kernel series (what
     ``plan_accelerated`` certifies is the asymptote-subtracted sum that
-    ``green_profile`` evaluates).  The tail beyond N sums the per-term
-    bounds: the finitely many modes not covered by the uniform 1/n^2 chain
-    are bounded individually, the remainder in closed form.  Raises
-    TruncationError when the tolerance is unreachable within MODE_CAP
-    modes (the G and G_t bounds only decay like 1/n at fixed t, so tight
-    tolerances are not certifiable by direct summation), and ValueError
-    for a kind outside KINDS or a time or tolerance that is not positive
-    and finite.
+    ``green_profile`` evaluates).  Raises TruncationError when the
+    tolerance is unreachable within MODE_CAP modes (the G and G_t bounds
+    only decay like 1/n at fixed t, so tight tolerances are not certifiable
+    by direct summation), and ValueError for a kind outside KINDS or a time
+    or tolerance that is not positive and finite.
     """
-    _check_request(t, tol, kind)
-    n_free = _free_depth(p)
-    head_table = mode_table(p, n_free - 1) if n_free > 1 else None
-    head_bounds = None  # the head's term_bounds, once a probe goes below n_free - 1
-    two_over_l = 2.0 / p.l
-    closed_tail, lead, power = _closed_tail(p, t, kind)
-
-    def tail(n: int) -> float:
-        nonlocal head_bounds
-        n0 = max(n, n_free - 1, 1)
-        total = closed_tail(n0)
-        if n < n_free - 1:
-            if head_bounds is None:
-                head_bounds = term_bounds(head_table, p, t, kind)
-            total += float(head_bounds[n:].sum())
-        return two_over_l * total
-
-    start = max(_start_depth(two_over_l * lead, power, tol), n_free - 1)
-    return _search_depth(tail, t, tol, kind, start)
+    return _plan(p, t, tol, kind, _closed_tail)
 
 
 def _remainder_tail(p: Params, t: float, kind: str):
@@ -359,24 +346,13 @@ def plan_accelerated(p: Params, t: float, tol: float, *, kind: str = "green") ->
     after their asymptote A_n (zero for the flux, whose direct terms
     already fall off like 1/n^4) and adds the asymptote's series in closed
     form, so the dropped tail is sum_{n > N} |r_n| (``_remainder_tail``).
-    N is at least n_free - 1, so every dropped mode is overdamped with
-    (b/h)^2 <= CHAIN_K.  For the flux this is ``plan_truncation``.  Raises
-    like ``plan_truncation``.
+    As in ``plan_truncation``, N is at least max(n_free - 1, 1), so every
+    dropped mode is overdamped with (b/h)^2 <= CHAIN_K.  For the flux this
+    is ``plan_truncation``.  Raises like ``plan_truncation``.
     """
     if kind == "flux":
         return plan_truncation(p, t, tol, kind=kind)
-    _check_request(t, tol, kind)
-    n_min = max(_free_depth(p) - 1, 1)
-    two_over_l = 2.0 / p.l
-    remainder_tail, lead, power = _remainder_tail(p, t, kind)
-
-    def tail(n: int) -> float:
-        if n < n_min:
-            return math.inf
-        return two_over_l * remainder_tail(n)
-
-    start = max(_start_depth(two_over_l * lead, power, tol), n_min)
-    return _search_depth(tail, t, tol, kind, start)
+    return _plan(p, t, tol, kind, _remainder_tail)
 
 
 # green_profile's one kept sine matrix: the x values and Params it was

@@ -154,12 +154,13 @@ def analyze(g, n_modes: int = 64, *, l: float) -> SineSpectrum:
 def synthesize(s: SineSpectrum, x):
     """Partial sum sum_n g_n sin(gamma_n x); exactly 0 at x = 0 and x = l.
 
-    ``x`` may be a scalar or an array with entries in [0, l].
+    ``x`` may be a scalar or an array with entries in [0, l]; any other
+    entry, NaN included, raises ValueError.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    if np.any((xs < 0) | (xs > s.l)):
+    if not ((xs >= 0.0) & (xs <= s.l)).all():  # also rejects NaN
         raise ValueError("evaluation point outside [0, l]")
     out = np.sin(xs[:, None] * s.gammas()[None, :]) @ s.coeffs
     out[(xs == 0.0) | (xs == s.l)] = 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,24 @@ class TestDecayFit:
         fit = decay_fit(ts, vals)
         assert np.isfinite(fit.rate)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_rejects_non_finite_or_negative_sup_norm(self, bad):
+        ts = np.linspace(1.0, 20.0, 30)
+        vals = np.exp(-0.5 * ts)
+        vals[7] = bad
+        with pytest.raises(ValueError, match="sup norms"):
+            decay_fit(ts, vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, bad):
+        ts = np.linspace(1.0, 20.0, 30)
+        vals = np.exp(-0.5 * ts)
+        ts[-1] = bad
+        with pytest.raises(ValueError, match="times"):
+            decay_fit(ts, vals)
+        with pytest.raises(ValueError, match="times"):
+            decay_fit(ts, vals, window=(1.0, 10.0))
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             decay_fit(np.linspace(0, 1, 5), np.ones(5))
@@ -50,6 +70,33 @@ class TestAlgebraicDecay:
         ts = np.geomspace(1.0, 100.0, 80)
         bounded, _ = algebraic_decay_check(ts, ts**-1.5, alpha=0.5)
         assert bounded
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_rejects_non_finite_or_negative_sup_norm(self, bad):
+        ts = np.geomspace(1.0, 100.0, 80)
+        vals = ts**-0.5
+        vals[60] = bad
+        with pytest.raises(ValueError, match="sup norms"):
+            algebraic_decay_check(ts, vals, alpha=0.5)
+
+    def test_rejects_non_finite_time_and_keeps_zeros(self):
+        ts = np.geomspace(1.0, 100.0, 80)
+        vals = ts**-0.5
+        vals[:5] = 0.0
+        assert algebraic_decay_check(ts, vals, alpha=0.5)[0]
+        for bad in (math.nan, math.inf):
+            bad_ts = ts.copy()
+            bad_ts[40] = bad
+            with pytest.raises(ValueError, match="times"):
+                algebraic_decay_check(bad_ts, vals, alpha=0.5)
+
+    def test_rejects_mismatched_histories(self):
+        ts = np.geomspace(1.0, 100.0, 80)
+        for sups in (ts[:60] ** -0.5, np.ones((80, 2))):
+            with pytest.raises(ValueError, match="matching"):
+                algebraic_decay_check(ts, sups, alpha=0.5)
+            with pytest.raises(ValueError, match="matching"):
+                decay_fit(ts, sups)
 
     def test_insufficient_tail_coverage(self):
         ts = np.linspace(1.0, 20.0, 40)

@@ -186,6 +186,17 @@ class TestInputErrors:
         short_row.write_text("x,t,u\n0.5,1.0,0.25\n0.5,2.0\n")
         self.assert_usage_error(run_cli("decay-fit", "--input", short_row))
 
+    @pytest.mark.parametrize("row", ["0.5,2.0,nan", "0.5,2.0,inf", "0.5,nan,0.1",
+                                     "0.5,-inf,0.1"])
+    def test_decay_fit_non_finite_row(self, tmp_path, run_cli, row):
+        rows = [f"0.5,{t:.1f},{math.exp(-0.5 * t)}" for t in range(1, 21)]
+        rows[1] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,t,u\n" + "\n".join(rows) + "\n")
+        res = run_cli("decay-fit", "--input", bad)
+        self.assert_usage_error(res)
+        assert repr(row) in res.stderr
+
     def test_oracle_zero_output_step(self, run_cli):
         self.assert_usage_error(run_cli("oracle", "--T", "0.2", "--nx", "15",
                                         "--t-out-every", "0"))

@@ -180,5 +180,5 @@ def test_flux_profile_calls_the_traced_names_through_the_module(monkeypatch):
         monkeypatch.setattr(green_kernel, name, spy(name))
     p = Params(epsilon=1.0, a=1.0, c=1.0, l=3.0)
     green_kernel.green_profile(p, [1.0, 2.0], 1.3, 0.5, kind="flux", tol=1e-5)
-    # the plan fetches its two-mode head table, the profile its own table
-    assert calls == ["plan_truncation", "mode_table", "mode_table"]
+    # the plan reads no mode table; the profile fetches its own
+    assert calls == ["plan_truncation", "mode_table"]

@@ -34,7 +34,8 @@ G_CENTER_T1 = 0.29273933698105422
 # plans on perfbench's green-series parameter sets and tolerances at ten
 # times each, as [planner, kind, t, n_terms, tail_bound] (the flux's
 # plan_accelerated is its plan_truncation); a change to the planning code
-# that keeps the bounds must reproduce them bit for bit
+# that keeps the bounds and the floor max(n_free - 1, 1) must reproduce
+# them bit for bit
 PLAN_PINS = json.loads((Path(__file__).parent / "data" / "truncation_plans.json").read_text())
 PIN_SETS = {"less": P_LESS, "eq": P_EQ, "gtr": P_GTR}
 
@@ -63,21 +64,24 @@ class TestTruncationPlan:
         for plan, tol in zip(plans, (1e-3, 1e-4, 1e-5)):
             assert plan.tail_bound <= tol
 
-    def test_single_mode_suffices_at_large_time(self):
+    def test_large_time_plans_at_the_floor(self):
+        # one mode would do, but no plan goes below n_free - 1 = 2 modes
+        cls = classify_modes(P_EQ, CHAIN_K)
         plan = plan_truncation(P_EQ, 50.0, 1e-10)
-        assert plan.n_terms == 1
+        assert plan.n_terms == max(cls.nk, cls.n2_star) - 1 == 2
+        assert plan.tail_bound <= 1e-10
 
     @pytest.mark.parametrize("p", ALL_PARAM_SETS)
     def test_tail_bound_verified_by_deeper_summation(self, p):
         plan = plan_truncation(p, 1.0, 1e-4)
         n, deep = plan.n_terms, 10 * plan.n_terms
-        direct = np.sum(term_bounds(mode_table(p, deep), p, 1.0)[n:]) * 2.0 / p.l
+        direct = np.sum(term_bounds(mode_table(p, deep), 1.0)[n:]) * 2.0 / p.l
         assert direct <= plan.tail_bound * (1.0 + 1e-9)
         for kind in KINDS:
             for t in (0.05, 0.5, 5.0):
                 plan = plan_truncation(p, t, 1e-3, kind=kind)
                 n = plan.n_terms
-                bounds = term_bounds(mode_table(p, 10 * n + 100), p, t, kind)
+                bounds = term_bounds(mode_table(p, 10 * n + 100), t, kind)
                 direct = np.sum(bounds[n:]) * 2.0 / p.l
                 assert direct <= plan.tail_bound * (1.0 + 1e-9), (kind, t)
 

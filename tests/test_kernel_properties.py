@@ -8,7 +8,8 @@ that switch, where H and H' change formula, both stay continuous.
 
 On the same parameter sets: ``mode_table``'s reused tables are bitwise
 fresh builds, the planners' depth search finds what plain doubling and
-bisection finds, and a certified tail bound dominates the modes it drops.
+bisection finds, its start and its floor max(n_free - 1, 1) lie at or
+below that depth, and a certified tail bound dominates the modes it drops.
 """
 
 import dataclasses
@@ -321,15 +322,36 @@ class TestDepthSearch:
             _reference_plan(planner, p, t, tol, kind)
 
     def test_every_start_finds_every_depth(self):
-        # a step tail: every start, below or above the depth, and depths at MODE_CAP
+        # a step tail: every start at or below the depth (a start above
+        # MODE_CAP counts as MODE_CAP), and depths at MODE_CAP
         cap = green_kernel.MODE_CAP
         depths = list(range(1, 70)) + [cap - 40, cap - 1, cap]
-        starts = list(range(1, 80)) + [cap - 70, cap - 33, cap - 1, cap, cap + 5]
+        starts = list(range(-1, 80)) + [cap - 70, cap - 33, cap - 1, cap, cap + 5]
         for depth in depths:
             tail = lambda n, depth=depth: 0.5 / n if n >= depth else 2.0
-            for start in starts:
+            for start in (s for s in starts if min(s, cap) <= depth):
                 plan = green_kernel._search_depth(tail, 1.0, 1.0, "green", start)
                 assert (plan.n_terms, plan.tail_bound) == (depth, 0.5 / depth), (depth, start)
+
+    @PROPERTY_SETTINGS
+    @given(p=st.one_of(band_edge_params(), any_params), t=st.floats(0.01, 50.0),
+           log_tol=st.floats(-14.0, -1.0), kind=st.sampled_from(KINDS),
+           planner=st.sampled_from((plan_accelerated, plan_truncation)))
+    def test_start_and_floor_lie_at_or_below_the_depth(self, p, t, log_tol, kind, planner):
+        # the search only steps up from its start, so the smallest certified
+        # depth, found here by plain doubling, must not lie below it
+        starts = []
+
+        def doubling_from(tail, t, tol, kind, start):
+            starts.append(start)
+            return doubling_search(tail, t, tol, kind)
+
+        with mock.patch.object(green_kernel, "_search_depth", doubling_from):
+            planned = _plan_or_error(planner, p, t, 10.0**log_tol, kind)
+        assume(not isinstance(planned, str))
+        cls = classify_modes(p, green_kernel.CHAIN_K)
+        assert planned.n_terms >= max(cls.nk, cls.n2_star, 2) - 1
+        assert planned.n_terms >= starts[0]
 
     def test_draws_include_uncertifiable_tolerances(self):
         p = Params(epsilon=1.0, a=1.0, c=1.0, l=math.pi)

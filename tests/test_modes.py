@@ -244,16 +244,16 @@ class TestClassification:
 
 class TestTermBound:
     def test_vanishes_at_large_time(self):
-        assert term_bounds(mode_table(P_LESS, 3), P_LESS, 200.0)[2] < 1e-20
+        assert term_bounds(mode_table(P_LESS, 3), 200.0)[2] < 1e-20
 
     def test_dominates_single_value(self):
         table = mode_table(P_LESS, 3)
-        assert term_bounds(table, P_LESS, 1.0)[2] >= abs(kernel_values(table, 1.0)[2])
+        assert term_bounds(table, 1.0)[2] >= abs(kernel_values(table, 1.0)[2])
 
     def test_oscillatory_bound_value(self):
         table = mode_table(P_GTR, 1)
         expected = 0.5 * math.exp(-0.05)
-        bound = term_bounds(table, P_GTR, 0.5)[0]
+        bound = term_bounds(table, 0.5)[0]
         assert bound == pytest.approx(expected, rel=1e-12)
         assert bound >= abs(kernel_values(table, 0.5)[0])
 
@@ -261,7 +261,7 @@ class TestTermBound:
     def test_dominance_on_grid(self, p):
         ts = np.geomspace(0.01, 20.0, 100)
         table = mode_table(p, 100)
-        bounds = np.stack([term_bounds(table, p, float(t)) for t in ts], axis=1)
+        bounds = np.stack([term_bounds(table, float(t)) for t in ts], axis=1)
         values = np.abs(kernel_values(table, ts))
         # critical modes attain the bound exactly; allow rounding slack
         assert np.all(bounds * (1.0 + 1e-12) >= values)
@@ -270,7 +270,7 @@ class TestTermBound:
         table = mode_table(P_EQ, 3)
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                term_bounds(table, P_EQ, t)
+                term_bounds(table, t)
         for kind in ("G", "nope"):
             with pytest.raises(ValueError):
-                term_bounds(table, P_EQ, 1.0, kind)
+                term_bounds(table, 1.0, kind)

@@ -113,6 +113,12 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(s, L + 0.1)
 
+    def test_rejects_nan_points(self):
+        s = SineSpectrum(l=L, coeffs=np.array([1.0]))
+        for x in (math.nan, [0.5, math.nan], np.array([math.nan, 0.0])):
+            with pytest.raises(ValueError):
+                synthesize(s, x)
+
 
 class TestDst:
     # numpy >= 2 evaluates the DST-I with the same pocketfft real FFT as scipy,
