@@ -27,14 +27,42 @@ below it by the modal restart identity
                  + int_{t_k}^{t_k+s} f_n(tau) H_n(t_k + s - tau) dtau,
 
 with the short integral by three-node Simpson (U' = int f_n H_n' restarts
-the same way).  The grid starts at step ``START_STEP`` and is halved,
-reusing its samples, until the step-halving estimate falls below the
-quadrature tolerance.  The estimate is max|U_dt - U_dt/2| at the output
-times, divided by 7 for the modes whose fast rate the coarse step resolves
-(dp_n*2*dt <= 1, where the rule converges at third order) and taken as it
-is for the others: a boundary layer of width 1/dp_n that the grid does
-not resolve converges at about first order, and there the raw difference
-bounds the error.
+the same way).  A time before the second node, where the grid rule is the
+trapezoid and two grids may both reach the time by the same Simpson step,
+is instead two-panel Simpson from 0, with |S_2 - S_1| (S_1 the one-panel
+sum) as its estimate, divided by 15 where the panel resolves the fast rate;
+it does not depend on the grid, and is formed once.  f is called once per
+time: a sample off the grid (a Simpson node) is kept, and reused when a
+finer grid has a node there or another step needs it again.
+
+The grid starts at step ``START_STEP``, with at least GREGORY_ROW steps
+(``nonlinear_solver.GREGORY_ROW``, the first row of the Gregory rule), and
+is halved, reusing its samples; from the third grid on, it is accepted
+when the estimate of the value returned meets the quadrature tolerance.
+With U_dt the value on step dt, each mode and output time takes the first
+of these that applies:
+
+  * the 4dt grid resolves the fast rate (dp_n*4*dt <= 1) and reaches the
+    time by its Gregory rows (t >= GREGORY_ROW*4*dt): the rule converges at
+    fourth order, and the Richardson value R_dt = U_dt + (U_dt - U_2dt)/15
+    is returned, with estimate |R_dt - R_2dt|/7;
+  * the same holds for the 2dt grid: U_dt, with estimate |U_dt - U_2dt|/7;
+  * otherwise U_dt, with the larger of |U_dt - U_2dt| and |U_2dt - U_4dt|
+    as estimate.  A boundary layer of width 1/dp_n that the grid does not
+    resolve converges at about first order, and there the raw difference
+    bounds the error; at times the 2dt grid reaches by its Newton-Cotes
+    rows the error changes rule from grid to grid, and one difference can
+    vanish by chance.
+
+A mode whose slow rate (dm_n; for an oscillating mode the fast rate
+h_n + omega_n) the 2dt grid does not resolve is sampled almost nowhere on
+its kernel, and two such grids can agree on a wrong value.  Its estimate
+is instead a bound on the error, |U_dt| + max|f_n| * int_0^inf |H_n|
+(|H_n'| for U'), with the integrals bounded by 1/dm_n^2 and 2/dm_n and
+the maximum taken over the grid's samples; a mode too small to matter
+passes, a larger one keeps the grid from being accepted.  The estimate is
+the largest over the modes, the output times and U' when the grid asks
+for it.
 """
 
 from __future__ import annotations
@@ -60,9 +88,10 @@ __all__ = [
 
 
 # Initial step of the uniform source grid.
-START_STEP = 0.01
-# Halvings of the source grid before AccuracyError is raised.
-MAX_DOUBLINGS = 8
+START_STEP = 0.04
+# Halvings of the source grid before AccuracyError is raised: the finest
+# reachable step is START_STEP / 2**10.
+MAX_DOUBLINGS = 10
 # Source spectra ``_sampled`` holds at once: a bound on memory; speed is flat
 # from 32 to 512.
 SAMPLE_CHUNK = 128
@@ -72,10 +101,11 @@ SAMPLE_CHUNK = 128
 class QuadConfig:
     """Source-convolution accuracy.
 
-    ``tol`` bounds the step-halving estimate of the forced part at the
-    output times (with its time derivative when the grid asks for it; see
-    the module docstring); the source grid is halved at most
-    ``MAX_DOUBLINGS`` times before AccuracyError is raised.
+    ``tol`` bounds the estimate of the error of the forced part returned at
+    the output times, Richardson-extrapolated where the grids resolve it
+    (with its time derivative when the grid asks for it; see the module
+    docstring); the source grid is halved at most ``MAX_DOUBLINGS`` times
+    before AccuracyError is raised.
     """
 
     tol: float = 1e-9
@@ -126,33 +156,83 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite")
 
 
-def _sampled(f, taus: np.ndarray, n_modes: int, first=None) -> np.ndarray:
+def _sampled(f, taus: np.ndarray, n_modes: int, known: dict,
+             on_grid: bool = False) -> np.ndarray:
     """Source spectra f(tau) as columns, padded or cut to n_modes.
 
-    ``f`` is called once per node, in order, with a Python float; ``first``,
-    when given, is the spectrum f(taus[0]) already computed, and that node
-    is not sampled again.  The spectra are gathered ``SAMPLE_CHUNK`` at a
-    time and copied into their columns by one concatenation, so neither all
-    spectra nor all times as floats are held at once.
+    ``known`` maps the times sampled before, off the grid, to their
+    columns: those are reused (and taken out of it when ``on_grid``, since
+    the grid keeps them), and ``f`` is called once at each other distinct
+    time, in increasing order, with a Python float.  Times off the grid add
+    their new columns to ``known``.  The spectra are gathered
+    ``SAMPLE_CHUNK`` at a time and copied into their columns by one
+    concatenation, so they are not all held at once.
     """
-    out = np.empty((n_modes, taus.size))
-    begin = 0
-    if first is not None:
-        out[:, 0] = pad_modes(first.coeffs, n_modes)
-        begin = 1
-    for start in range(begin, taus.size, SAMPLE_CHUNK):
-        coeffs = [f(tau).coeffs for tau in taus[start:start + SAMPLE_CHUNK].tolist()]
+    times = taus.tolist()
+    reused = np.fromiter((tau in known for tau in times), bool, len(times))
+    out = np.empty((n_modes, len(times)))
+    for i in np.flatnonzero(reused).tolist():
+        out[:, i] = known.pop(times[i]) if on_grid else known[times[i]]
+    new, where = np.unique(taus[~reused], return_inverse=True)
+    fresh = np.empty((n_modes, new.size))
+    for start in range(0, new.size, SAMPLE_CHUNK):
+        coeffs = [f(tau).coeffs for tau in new[start:start + SAMPLE_CHUNK].tolist()]
         rows = np.concatenate([c if c.size == n_modes else pad_modes(c, n_modes)
                                for c in coeffs])
-        out[:, start:start + len(coeffs)] = rows.reshape(-1, n_modes).T
+        fresh[:, start:start + len(coeffs)] = rows.reshape(-1, n_modes).T
+    out[:, ~reused] = fresh[:, where]
+    if not on_grid:
+        known.update(zip(new.tolist(), fresh.T))
     return out
 
 
-def _forced_at(f, table: ModeTable, fgrid: np.ndarray, dt: float,
-               t_out: np.ndarray, with_dt: bool):
+def _from_zero(sample, table: ModeTable, f0: np.ndarray, t_out: np.ndarray,
+               early: np.ndarray, with_dt: bool):
+    """U, U' and the estimate of their error by two-panel Simpson from 0.
+
+    U and U' are given at the ``early`` times and are zero at the others
+    (U' stays zero without ``with_dt``).  The estimate, per time, is the
+    largest over the modes of |S_2 - S_1|, S_1 the one-panel Simpson sum on
+    the nodes 0, t/2, t, divided by 15 where that panel resolves the fast
+    rate (dp*t/2 <= 1).  ``f0`` is the column f(0); ``sample`` gives the
+    columns at t/4, t/2, 3t/4 and, for U', at t.
+    """
+    n = table.n_modes
+    u, du = np.zeros((n, t_out.size)), np.zeros((n, t_out.size))
+    estimate = np.zeros(t_out.size)
+    t = t_out[early]
+    if t.size == 0:
+        return u, du, estimate
+    fq = sample(np.outer(t, (0.25, 0.5, 0.75)).ravel()).reshape(n, t.size, 3)
+    f0 = f0[:, None]
+    lags = np.outer((1.0, 0.75, 0.5, 0.25), t).ravel()
+    divisor = np.where(np.outer(table.dp, t / 2.0) <= 1.0, 15.0, 1.0)
+
+    def simpson(kernel, end):
+        # f(t) enters with the kernel at lag 0: ``end`` is f(t)*H(0)
+        h1, h34, h12, h14 = kernel(table, lags).reshape(n, 4, t.size).transpose(1, 0, 2)
+        two = t / 12.0 * (f0 * h1 + 4.0 * fq[..., 0] * h34 + 2.0 * fq[..., 1] * h12
+                          + 4.0 * fq[..., 2] * h14 + end)
+        one = t / 6.0 * (f0 * h1 + 4.0 * fq[..., 1] * h12 + end)
+        return two, np.max(np.abs(two - one) / divisor, axis=0)
+
+    # H(0) = 0 and H'(0) = 1
+    u[:, early], estimate[early] = simpson(kernel_values, 0.0)
+    if with_dt:
+        du[:, early], du_estimate = simpson(kernel_dt_values, sample(t))
+        estimate[early] = np.maximum(estimate[early], du_estimate)
+    return u, du, estimate
+
+
+def _forced_at(sample, table: ModeTable, fgrid: np.ndarray, dt: float,
+               t_out: np.ndarray, with_dt: bool, start):
     """U = int_0^t f_n H_n(t - tau) dtau at t_out from the samples ``fgrid``.
 
-    Also returns U' = int_0^t f_n H_n'(t - tau) dtau when ``with_dt``.
+    Also returns U' = int_0^t f_n H_n'(t - tau) dtau when ``with_dt`` (else
+    None), and the estimate of the error at the times before the second
+    node (0 when there are none), which take their values and estimates
+    from ``start``, ``_from_zero``'s.  ``sample`` gives the source columns
+    off the grid.
     """
     steps = fgrid.shape[1] - 1
     nodes = dt * np.arange(steps + 1)
@@ -163,57 +243,117 @@ def _forced_at(f, table: ModeTable, fgrid: np.ndarray, dt: float,
     k = np.minimum(np.floor(t_out / dt).astype(int), steps)
     s = np.maximum(t_out - k * dt, 0.0)
     u, du = u_grid[:, k], du_grid[:, k]
-    off = s > 0.0
+    # before the second node the grid rule is the trapezoid, and two grids
+    # may both reach a time by the same Simpson step from 0
+    early = (k < 2) & (t_out > 0.0)
+    off = (s > 0.0) & ~early
     if np.any(off):
         k, s = k[off], s[off]
         hs, hds = kernel_values(table, s), kernel_dt_values(table, s)
         hm, hdm = kernel_values(table, s / 2.0), kernel_dt_values(table, s / 2.0)
         f0 = fgrid[:, k]
-        fm = _sampled(f, k * dt + s / 2.0, table.n_modes)
+        fm = sample(k * dt + s / 2.0)
         w = s / 6.0
         u_s, du_s = propagate_state(table, u[:, off], du[:, off], hs, hds)
         # H(0) = 0 drops f(t) from the Simpson sum for U
         u[:, off] = u_s + w * (f0 * hs + 4.0 * fm * hm)
         if with_dt:
-            f1 = _sampled(f, t_out[off], table.n_modes)
-            du[:, off] = du_s + w * (f0 * hds + 4.0 * fm * hdm + f1)
-    return u, (du if with_dt else None)
+            du[:, off] = du_s + w * (f0 * hds + 4.0 * fm * hdm + sample(t_out[off]))
+    start_u, start_du, start_estimate = start
+    u[:, early] = start_u[:, early]
+    du[:, early] = start_du[:, early]
+    return u, (du if with_dt else None), float(np.max(start_estimate[early], initial=0.0))
+
+
+def _extrapolated(table: ModeTable, t_out: np.ndarray, dt: float, f_max: np.ndarray,
+                  fine, coarse, coarser):
+    """The value returned at step ``dt`` and the estimate of its error.
+
+    ``fine``, ``coarse`` and ``coarser`` are the (U, U' or None) pairs on
+    the steps dt, 2dt and 4dt, and ``f_max`` is each mode's largest |f_n|
+    on the dt grid.  Per mode and output time, as the module docstring sets
+    out: Richardson's R = U_dt + (U_dt - U_2dt)/15 with estimate
+    |R_dt - R_2dt|/7 where the 4dt grid resolves the fast rate and reaches
+    the time by its Gregory rows; else U_dt, with estimate |U_dt - U_2dt|/7
+    where the 2dt grid does so and the larger of the last two differences
+    where it does not; and, for a mode whose slow rate the 2dt grid does
+    not resolve, the bound |U_dt| + f_max * int_0^inf |H_n| (|H_n'| for U').
+    """
+    first_row = nonlinear_solver.GREGORY_ROW
+
+    def gregory(step):
+        # modes the grid of this step resolves, at times its Gregory rows reach
+        return (table.dp * step <= 1.0)[:, None] & (t_out >= first_row * step)[None, :]
+
+    resolved = gregory(2.0 * dt)
+    extrapolate = gregory(4.0 * dt)
+    # an oscillation is resolved only with its fast rate h + omega
+    blind = (np.where(table.osc, table.dp, table.dm) * (2.0 * dt) > 1.0)[:, None]
+    # |H_n(t)| <= t e^{-dm t} in every regime, and H_n' integrates in
+    # absolute value to twice the peak of a one-hump H_n, or, for an
+    # oscillation, |H_n'| <= (1 + h t) e^{-h t}: int |H_n| <= 1/dm^2 and
+    # int |H_n'| <= 2/dm
+    bounds = (f_max / table.dm**2, 2.0 * f_max / table.dm)
+    values, estimate = [], 0.0
+    for u, u2, u4, bound in zip(fine, coarse, coarser, bounds):
+        if u is None:
+            values.append(None)
+            continue
+        change = u - u2
+        richardson = u + change / 15.0
+        change = np.where(extrapolate, (richardson - (u2 + (u2 - u4) / 15.0)) / 7.0,
+                          np.where(resolved, change / 7.0,
+                                   np.maximum(np.abs(change), np.abs(u2 - u4))))
+        change = np.where(blind, np.abs(u) + bound[:, None], change)
+        values.append(np.where(extrapolate, richardson, u))
+        estimate = max(estimate, float(np.max(np.abs(change))))
+    return tuple(values), estimate
 
 
 def _forced(f, f0, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
             with_dt: bool):
     """Forced part (U, U' or None) at t_out, refined by step halving.
 
-    ``f0`` is the spectrum f(0.0), node 0 of every source grid.
+    ``f0`` is the spectrum f(0.0), node 0 of every source grid.  A grid is
+    accepted from the third on, when its estimate meets the tolerance.
     """
     horizon = float(np.max(t_out))
+    n = table.n_modes
     if horizon == 0.0:
-        zero = np.zeros((table.n_modes, t_out.size))
+        zero = np.zeros((n, t_out.size))
         return zero, (zero.copy() if with_dt else None)
-    steps = math.ceil(horizon / START_STEP)
+    known = {0.0: pad_modes(f0.coeffs, n)}  # source columns sampled off the grid
+
+    def sample(taus, on_grid=False):
+        return _sampled(f, taus, n, known, on_grid)
+
+    # the first grid reaches the horizon by a Gregory row
+    steps = max(math.ceil(horizon / START_STEP), nonlinear_solver.GREGORY_ROW)
     dt = horizon / steps
-    fgrid = _sampled(f, dt * np.arange(steps + 1), table.n_modes, first=f0)
-    coarse = _forced_at(f, table, fgrid, dt, t_out, with_dt)
+    fgrid = sample(dt * np.arange(steps + 1), on_grid=True)
+    # every grid's times before its second node are among the first grid's
+    start = _from_zero(sample, table, fgrid[:, 0], t_out,
+                       (t_out > 0.0) & (t_out < 2.0 * dt), with_dt)
+    levels = []  # (U, U') on the last two grids, the finer first
     estimate = math.inf
-    for _ in range(MAX_DOUBLINGS):
-        steps, dt = 2 * steps, dt / 2.0
-        finer = np.empty((table.n_modes, steps + 1))
-        finer[:, ::2] = fgrid
-        finer[:, 1::2] = _sampled(f, dt * np.arange(1, steps, 2), table.n_modes)
-        fgrid = finer
-        fine = _forced_at(f, table, fgrid, dt, t_out, with_dt)
-        # the third-order divisor holds only where the coarse step resolves
-        # the fast rate; elsewhere the rule converges at about first order
-        # and the raw difference bounds the error
-        divisor = np.where(table.dp * (2.0 * dt) <= 1.0, 7.0, 1.0)[:, None]
-        estimate = max(float(np.max(np.abs(a - b) / divisor))
-                       for a, b in zip(fine, coarse) if a is not None)
-        if estimate <= quad.tol:
-            return fine
-        coarse = fine
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            steps, dt = 2 * steps, dt / 2.0
+            finer = np.empty((n, steps + 1))
+            finer[:, ::2] = fgrid
+            finer[:, 1::2] = sample(dt * np.arange(1, steps, 2), on_grid=True)
+            fgrid = finer
+        *fine, early_estimate = _forced_at(sample, table, fgrid, dt, t_out, with_dt, start)
+        if len(levels) == 2:
+            value, estimate = _extrapolated(table, t_out, dt, np.max(np.abs(fgrid), axis=1),
+                                            fine, *levels)
+            estimate = max(estimate, early_estimate)
+            if estimate <= quad.tol:
+                return value
+        levels = [fine] + levels[:1]
     raise AccuracyError(
         f"convolution quadrature did not reach tol = {quad.tol:.3g} on [0, {horizon:.3g}] "
-        f"(last step-halving estimate {estimate:.3g})", estimate=estimate)
+        f"(last error estimate {estimate:.3g})", estimate=estimate)
 
 
 def solve_linear(prob: LinearProblem, grid: GridSpec,
@@ -232,7 +372,10 @@ def solve_linear(prob: LinearProblem, grid: GridSpec,
     f0 = None
     if prob.f is not None:
         f0 = prob.f(0.0)
-        n = max(n, np.asarray(f0.coeffs).size)
+        if not isinstance(f0, SineSpectrum):
+            raise TypeError(f"f(0.0) must be a SineSpectrum, got {type(f0).__name__}")
+        check_length(p.l, f=f0)
+        n = max(n, f0.n_modes)
     table = mode_table(p, n)
     g0c = pad_modes(prob.g0.coeffs, n)[:, None]
     g1c = pad_modes(prob.g1.coeffs, n)[:, None]

@@ -43,7 +43,7 @@ the first, so the working memory above that field is one window's,
 whatever the horizon.  A source that
 does not depend on u goes, as spectra f(t), to
 ``linear_solver.solve_linear`` on the collocation grid, and ``tol`` then
-bounds its step-halving estimate.
+bounds its estimate of the error of the value it returns.
 
 For the biased sine source F = sin(u) - bias, the constant bias is
 expanded with its exact sine coefficients rather than sampled, which
@@ -100,8 +100,8 @@ class PicardConfig:
     """Collocation grid and iteration controls for the fixed-point solve.
 
     ``max_iter`` caps the sweeps of each block of the march.  For a
-    u-independent source, ``tol`` bounds the step-halving estimate of
-    ``solve_linear``, and ``max_iter`` and ``window`` are unused.
+    u-independent source, ``tol`` bounds ``solve_linear``'s estimate of
+    the error of its value, and ``max_iter`` and ``window`` are unused.
     """
 
     tol: float = 1e-8
@@ -172,6 +172,8 @@ _NEWTON_COTES = (
 )
 # Gregory order-four end weights (3/8, 7/6, 23/24) relative to trapezoid
 _GREGORY = (-1.0 / 8.0, 1.0 / 6.0, -1.0 / 24.0)
+# First row of the Gregory rule; the rows before it use Newton-Cotes weights
+GREGORY_ROW = len(_NEWTON_COTES) + 1
 # the same weights relative to a plain sum at the start nodes 0, 1, 2 of a row
 _START_WEIGHTS = (_GREGORY[0] - 0.5, _GREGORY[1], _GREGORY[2])
 
@@ -220,8 +222,8 @@ def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
     """Row-wise Volterra convolution U[:, j] ~ int_0^{t_j} f(tau) K(t_j - tau) dtau.
 
     ``kern`` and ``f`` hold samples on the uniform grid j*dt along axis 1.
-    Rows j >= 5 use the order-four Gregory end correction on top of a
-    single FFT convolution; shorter rows use exact Newton-Cotes weights.
+    Rows j >= GREGORY_ROW use the order-four Gregory end correction on top
+    of a single FFT convolution; shorter rows use exact Newton-Cotes weights.
     """
     if kern.shape != f.shape:
         raise ValueError("kernel and integrand sample arrays must have equal shape")
@@ -232,20 +234,21 @@ def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
     base = fftconvolve(f, kern, axes=1)[:, :nt]
     # trapezoid = raw convolution with halved end samples
     base = base - 0.5 * f[:, [0]] * kern - 0.5 * f * kern[:, [0]]
-    if nt > 5:
-        sl = slice(5, nt)
-        corr = np.zeros((kern.shape[0], nt - 5))
+    g = GREGORY_ROW
+    if nt > g:
+        sl = slice(g, nt)
+        corr = np.zeros((kern.shape[0], nt - g))
         for i, d in enumerate(_GREGORY):
-            corr += d * (f[:, [i]] * kern[:, 5 - i:nt - i] + f[:, 5 - i:nt - i] * kern[:, [i]])
+            corr += d * (f[:, [i]] * kern[:, g - i:nt - i] + f[:, g - i:nt - i] * kern[:, [i]])
         out[:, sl] = base[:, sl] + corr
-    for j in range(1, min(5, nt)):
+    for j in range(1, min(g, nt)):
         out[:, j] = (f[:, :j + 1] * kern[:, j::-1]) @ _NEWTON_COTES[j - 1]
     return out * dt
 
 
 def _row_weights(n: int) -> np.ndarray:
     """Weights of row n >= 1 of ``volterra_convolve`` on nodes 0..n (unit spacing)."""
-    if n < 5:
+    if n < GREGORY_ROW:
         return _NEWTON_COTES[n - 1]
     w = np.ones(n + 1)
     w[[0, n]] = 0.5
@@ -276,7 +279,11 @@ def _linear_f(source: SourceTerm, l: float, n_modes: int):
     if isinstance(source, ZeroSource):
         return None
     if isinstance(source, LinearSource):
-        return lambda t: SineSpectrum(l=l, coeffs=pad_modes(source.f(t).coeffs, n_modes))
+        def spectrum(t):
+            spec = source.f(t)
+            check_length(l, f=spec)
+            return SineSpectrum(l=l, coeffs=pad_modes(spec.coeffs, n_modes))
+        return spectrum
     if isinstance(source, ExpDecayingSource):
         prof = analyze(lambda x: np.asarray(source.profile(x), dtype=float),
                        n_modes, l=l).coeffs

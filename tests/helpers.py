@@ -112,6 +112,31 @@ def kernel_l1_reference(p, n):
                              method="gauss-legendre"))
 
 
+def exp_source_response(p, n, mu, t):
+    """U = int_0^t e^{-mu s} H_n(t - s) ds and U' in 60-digit closed form.
+
+    H_n = (e^{-r1 t} - e^{-r2 t})/(r2 - r1) with roots r1,2 = h -+ w of
+    r^2 - 2hr + b^2 (complex for an oscillating mode), so U and U' are
+    combinations of E(r) = int_0^t e^{-mu s} e^{-r(t - s)} ds, which stays
+    exact at resonance, r = mu.  A critical mode (w = 0) takes w = 1e-25.
+    """
+    with mp.workdps(60):
+        eps, a, c, l, mu, t = (mp.mpf(v) for v in (p.epsilon, p.a, p.c, p.l, mu, t))
+        g = n * mp.pi / l
+        h, b = (a + eps * g**2) / 2, c * g
+        w = mp.sqrt(mp.mpc(h * h - b * b)) or mp.mpf(10) ** -25
+        decay = mp.exp(-mu * t)
+
+        def conv(r):
+            d = r - mu
+            return t * decay if d == 0 else -decay * mp.expm1(-d * t) / d
+
+        r1, r2 = h - w, h + w
+        u = (conv(r1) - conv(r2)) / (2 * w)
+        du = (r2 * conv(r2) - r1 * conv(r1)) / (2 * w)
+        return float(mp.re(u)), float(mp.re(du))
+
+
 def mode_ode_residual(table, t, step, order=2):
     """Central-difference residual of H'' + 2hH' + b^2 H = 0 at time t.
 

@@ -463,6 +463,20 @@ class TestAprioriBound:
 
 
 class TestSourceFailure:
+    @pytest.mark.parametrize("wrong", [
+        lambda t: SineSpectrum(l=2.0, coeffs=np.array([1.0])),
+        lambda t: SineSpectrum(l=L if t < 0.25 else 2.0, coeffs=np.array([1.0])),
+        lambda t: np.array([1.0]),
+    ])
+    def test_linear_source_spectra_must_be_spectra_on_the_strip(self, wrong):
+        # each spectrum is checked, not only f(0); fd_oracle would synthesise
+        # a spectrum on its own length, so using it as if on l disagrees
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                source=LinearSource(f=wrong), horizon=0.5)
+        with pytest.raises(RuntimeError, match="source evaluation failed") as info:
+            picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8))
+        assert type(info.value.__cause__) in (ValueError, AttributeError)
+
     def test_failing_source_is_reported(self):
         # the CLI maps RuntimeError to exit 2; u-independent kinds fail
         # while their spectra are built (exp) or sampled (linear)
