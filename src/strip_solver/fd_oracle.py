@@ -7,9 +7,11 @@ Method of lines for L u = F written as the first-order system
 
 with D2 the standard second difference carrying homogeneous Dirichlet
 rows.  A theta-weighted one-step scheme advances (u, v); eliminating
-u^{m+1} leaves one symmetric positive-definite tridiagonal solve per step
-whose Cholesky factor is computed once for a fixed step size.  The
-explicit half of that solve's right-hand side is linear in (u, v),
+u^{m+1} leaves one symmetric positive-definite tridiagonal solve per step.
+Its matrix is fixed for a fixed step size, so ``oracle_solve`` builds it
+once as a dense array, checks it by a Cholesky factorisation and inverts
+it; every inner solve is then one matrix-vector product.  The explicit
+half of that solve's right-hand side is linear in (u, v),
 
     alpha*v + D2(beta*u + gamma*v) - (1 - theta)*dt*F_old,
 
@@ -22,13 +24,24 @@ within each step.
 This module deliberately shares no numerical kernels with the spectral
 modules: it imports only the parameter container and the source-term
 definitions, so agreement between the two solvers is meaningful evidence.
-The banded Cholesky routines come from ``scipy.linalg``, which is loaded
-on the first factorisation or solve, not on import.
+It needs nothing beyond numpy.
+
+The dense product costs O(nx^2) per solve, against O(nx) for a banded
+Cholesky solve (LAPACK ``pbtrs``), and the inverse holds 8*nx^2 bytes.
+Below the crossover the product wins because a call costs more than the
+arithmetic.  Microseconds per solve, one thread:
+
+    nx       63     127    255    511    1023
+    banded   1.70   2.75   5.2    9.3    18
+    dense    1.25   2.99   9.0    46     221
+
+Every grid of the configs and the benchmark has nx <= 127, and the tests
+go above it only for a few hundred steps, so there is one path and no
+size switch.  Grids well above nx 127 would want the banded solve back.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -47,28 +60,14 @@ NONLINEAR_INNER_TOL = 1e-12
 MAX_INNER = 60
 
 
-@functools.cache
-def _banded_lapack():
-    """``scipy.linalg.cholesky_banded`` and LAPACK ``pbtrs``, loaded once on first use."""
-    from scipy.linalg import cholesky_banded, get_lapack_funcs
+def cho_solve_banded(inverse, b):
+    """Solve A x = b as ``inverse @ b``, from the inverse of A formed once per solve.
 
-    return cholesky_banded, get_lapack_funcs("pbtrs", dtype=np.float64)
-
-
-def cho_solve_banded(cb_and_lower, b):
-    """Solve A x = b from the banded Cholesky factor ``cb`` of A (LAPACK pbtrs).
-
-    The call ``scipy.linalg.cho_solve_banded`` makes, without its argument
-    checks: the factor comes from ``cholesky_banded`` (which checks it) and
-    ``oracle_solve`` checks every right-hand side before the solve.  The
-    first call (or the first ``oracle_solve``) loads ``scipy.linalg``.
+    The name is kept from the banded Cholesky solve this replaced: the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it to count inner
+    solves, and derives the oracle's step count from that count.
     """
-    cb, lower = cb_and_lower
-    _, pbtrs = _banded_lapack()
-    x, info = pbtrs(cb, b, lower=lower)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"banded Cholesky solve failed (pbtrs info = {info})")
-    return x
+    return inverse @ b
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,9 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
     ``t_out`` selects output times (defaults to every step); requested
     times must be finite and snap to the nearest step, those outside
     [0, horizon] to the first or last one.  Identical inputs produce
-    bit-identical fields: the stepping is strictly sequential and
-    single-threaded.
+    bit-identical fields: the stepping is strictly sequential, and a BLAS
+    that splits the step's matrix-vector product over threads still sums
+    each entry in one order (a test checks one and two OpenBLAS threads).
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
@@ -143,13 +143,13 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
 
     # LHS of the eliminated v-equation: (1 + a*theta*dt) I - theta*dt*(eps + theta*dt*c^2) D2
     kappa = theta * dt * (eps + theta * dt * c2)
-    diag = np.full(nx, 1.0 + a * theta * dt + 2.0 * kappa / dx**2)
+    diag = 1.0 + a * theta * dt + 2.0 * kappa / dx**2
+    if not math.isfinite(diag):
+        raise ValueError(f"the step matrix overflows at dt = {dt:.6g}")
     off = np.full(nx - 1, -kappa / dx**2)
-    ab = np.zeros((2, nx))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    cholesky_banded, _ = _banded_lapack()
-    chol = cholesky_banded(ab, lower=False)
+    lhs = np.diag(np.full(nx, diag)) + np.diag(off, 1) + np.diag(off, -1)
+    np.linalg.cholesky(lhs)  # raises LinAlgError unless positive definite
+    inverse = np.linalg.inv(lhs)
 
     # Its RHS: alpha*v + D2(beta*u + gamma*v) - w_old*F_old - w_new*F_new,
     # with 1/dx^2 folded into beta and gamma
@@ -194,7 +194,7 @@ def oracle_solve(p: Params, g0, g1, source: SourceTerm, horizon: float,
                 if not _finite(rhs):
                     raise StepFailureError(
                         f"non-finite right-hand side in the step to t = {t_new:.6g}", t=t_new)
-                v_new = cho_solve_banded((chol, False), rhs)
+                v_new = cho_solve_banded(inverse, rhs)
                 u_new = u_pre + w_new * v_new
                 if not nonlinear:
                     break

@@ -1,5 +1,10 @@
 """Shared verification helpers: independent brute-force sums and stencils."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 from scipy.fft import dst
@@ -10,6 +15,20 @@ from strip_solver.green_kernel import MODE_CAP, TruncationPlan, green_profile, p
 from strip_solver.modes import kernel_values, mode_table
 from strip_solver.nonlinear_solver import volterra_convolve
 from strip_solver.sources import depends_on_u, evaluate_source
+
+
+def run_fresh(script: str, **env) -> str:
+    """Standard output of ``script`` run in a fresh interpreter on this checkout.
+
+    ``env`` adds to the child's environment; pytest's pythonpath setting
+    does not reach child interpreters, so ``src`` goes on its PYTHONPATH.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=240, env=dict(os.environ, **env, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def _textbook_kernels(eps, a, c, g, t):
@@ -231,6 +250,20 @@ def sine_gordon_sweep(p, linear_part, u, bias, n_modes):
     return linear_part.values - sin_full @ uf
 
 
+def step_band(p, nx, dt, theta):
+    """The oracle's step matrix on ``nx`` interior nodes, in upper banded form.
+
+    ``(1 + a*theta*dt) I - theta*dt*(eps + theta*dt*c^2) D2``, as scipy's
+    ``cholesky_banded`` takes it: superdiagonal in row 0, diagonal in row 1.
+    """
+    dx = p.l / (nx + 1)
+    kappa = theta * dt * (p.epsilon + theta * dt * p.c**2)
+    ab = np.zeros((2, nx))
+    ab[0, 1:] = -kappa / dx**2
+    ab[1, :] = 1.0 + p.a * theta * dt + 2.0 * kappa / dx**2
+    return ab
+
+
 def theta_scheme_reference(p, g0, g1, source, horizon, nx, dt, theta):
     """The theta scheme's step loop with three stencil applications per step.
 
@@ -254,11 +287,7 @@ def theta_scheme_reference(p, g0, g1, source, horizon, nx, dt, theta):
         out[1:] += w[:-1]
         return out / dx**2
 
-    kappa = theta * dt * (eps + theta * dt * c2)
-    ab = np.zeros((2, nx))
-    ab[0, 1:] = -kappa / dx**2
-    ab[1, :] = 1.0 + a * theta * dt + 2.0 * kappa / dx**2
-    chol = cholesky_banded(ab, lower=False)
+    chol = cholesky_banded(step_band(p, nx, dt, theta), lower=False)
     nonlinear = depends_on_u(source)
     values = np.zeros((nx + 2, n_steps + 1))
     values[1:-1, 0] = u

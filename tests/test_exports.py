@@ -1,13 +1,11 @@
 import ast
-import os
 import pathlib
-import subprocess
-import sys
 from importlib import import_module
 
 import pytest
 
 import strip_solver
+from helpers import run_fresh
 
 
 def test_every_public_name_resolves():
@@ -21,16 +19,6 @@ def test_every_submodule_export_resolves(module):
     mod = import_module(f"strip_solver.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
-
-
-def _run_fresh(script: str) -> str:
-    """Standard output of ``script`` run in a fresh interpreter on this checkout."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=240, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
 
 
 def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
@@ -49,7 +37,7 @@ def test_solver_imports_leave_heavy_scipy_subpackages_unloaded():
             "assert linear_solver.solve_linear and nonlinear_solver.picard_solve\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert _run_fresh(script) == "[]", imports
+        assert run_fresh(script) == "[]", imports
 
 
 def test_solver_imports_leave_green_kernel_unloaded():
@@ -58,11 +46,12 @@ def test_solver_imports_leave_green_kernel_unloaded():
     for imports in ("from strip_solver import nonlinear_solver, linear_solver",
                     "from strip_solver import linear_solver, nonlinear_solver"):
         script = f"import sys\n{imports}\nprint('strip_solver.green_kernel' in sys.modules)\n"
-        assert _run_fresh(script) == "False", imports
+        assert run_fresh(script) == "False", imports
 
 
-def test_only_the_oracle_imports_scipy():
-    # a static check: scipy may load only where fd_oracle needs it
+def test_no_library_module_imports_scipy():
+    # a static check: the library runs on numpy alone; scipy serves the tests
+    # and the benchmark as a reference
     importers = []
     for path in sorted(pathlib.Path(strip_solver.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -74,7 +63,7 @@ def test_only_the_oracle_imports_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.stem)
-    assert sorted(set(importers)) == ["fd_oracle"]
+    assert importers == []
 
 
 def _package_imports(module: str) -> set:
@@ -105,34 +94,23 @@ def test_the_cross_check_shares_no_spectral_code():
     assert _package_imports("sources") == set()
 
 
-def test_first_oracle_solve_loads_scipy_linalg():
+def test_oracle_runs_load_no_scipy():
+    # an oracle solve, and the oracle and verify commands on their configs
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import numpy as np\n"
-        "from strip_solver import fd_oracle\n"
+        "from strip_solver import cli, fd_oracle\n"
         "from strip_solver.modes import Params\n"
         "from strip_solver.sources import ZeroSource\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
         "fd_oracle.oracle_solve(Params(1.0, 1.0, 1.0, np.pi), np.sin, np.zeros_like,"
         " ZeroSource(), 0.1, fd_oracle.OracleConfig(nx=9, dt=0.05))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['oracle', '--config', {str(configs / 'oracle.cfg')!r}]) == 0\n"
+        f"    assert cli.run(['verify', '--config', {str(configs / 'verify.cfg')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert _run_fresh(script) == "True"
-
-
-def test_banded_solve_works_before_any_oracle_solve():
-    # the solve loads its LAPACK routine itself; the factor is built by numpy
-    script = (
-        "import numpy as np\n"
-        "from strip_solver import fd_oracle\n"
-        "a = 4.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)\n"
-        "upper = np.linalg.cholesky(a).T\n"
-        "cb = np.vstack([np.r_[0.0, np.diag(upper, 1)], np.diag(upper)])\n"
-        "b = np.arange(1.0, 6.0)\n"
-        "x = fd_oracle.cho_solve_banded((cb, False), b)\n"
-        "print(np.allclose(a @ x, b, rtol=0.0, atol=1e-13))\n"
-    )
-    assert _run_fresh(script) == "True"
+    assert run_fresh(script) == "[]"
 
 
 # perfbench's tracer wraps library names from outside (its WRAPPED table); a
