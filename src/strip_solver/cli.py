@@ -30,6 +30,10 @@ class UsageError(Exception):
     pass
 
 
+# most output times the oracle command writes: T / t_out_every + 1
+MAX_OUTPUT_TIMES = 10**6
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -336,6 +340,9 @@ def _cmd_oracle(args):
         raise UsageError(f"horizon T must be positive and finite, got {args.T}")
     if not (math.isfinite(args.t_out_every) and args.t_out_every > 0):
         raise UsageError(f"t-out-every must be positive and finite, got {args.t_out_every}")
+    if args.T / args.t_out_every >= MAX_OUTPUT_TIMES:
+        raise UsageError(f"--T / --t-out-every = {args.T / args.t_out_every:.3g} asks for more "
+                         f"than {MAX_OUTPUT_TIMES} output times")
     source = _build_source(args, p, args.n_modes)
     cfg = OracleConfig(**_given(args, "nx", "dt", "theta"))
     t_out = np.arange(0.0, args.T + 1e-12, args.t_out_every)

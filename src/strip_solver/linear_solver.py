@@ -17,52 +17,34 @@ time derivative and the restarts below.  The spectral
 representation is exact in x up to series truncation; the output grid only
 enters at the final synthesis step.
 
-The source convolution samples f once on a uniform grid over [0, max t]
-and convolves the samples with H_n and H_n' by the Gregory/FFT rule shared
-with the nonlinear solver (``nonlinear_solver.volterra_convolve``).  An
-output time t = t_k + s between grid nodes is reached from the node t_k
-below it by the modal restart identity
+The source convolution samples f on a uniform grid over [0, max t].  On
+each step it integrates the cubic through the nodes k-2..k+1 (0..3 on the
+first two steps) against the exact H_n and H_n', by the rule shared with
+the nonlinear solver (``nonlinear_solver.step_weights`` and
+``volterra_convolve``).  Its error is the cubic's interpolation error of
+f times int |H_n|, whatever the mode's rates.  An output time
+t = t_k + s after node k is reached from the node by the modal restart
+identity
 
     U(t_k + s) = U(t_k)*(H_n'(s) + 2*h_n*H_n(s)) + U'(t_k)*H_n(s)
                  + int_{t_k}^{t_k+s} f_n(tau) H_n(t_k + s - tau) dtau,
 
-with the short integral by three-node Simpson (U' = int f_n H_n' restarts
-the same way).  A time before the second node, where the grid rule is the
-trapezoid and two grids may both reach the time by the same Simpson step,
-is instead two-panel Simpson from 0, with |S_2 - S_1| (S_1 the one-panel
-sum) as its estimate, divided by 15 where the panel resolves the fast rate;
-it does not depend on the grid, and is formed once.  f is called once per
-time: a sample off the grid (a Simpson node) is kept, and reused when a
-finer grid has a node there or another step needs it again.
+with the last integral a partial step of the same stencil (U' restarts
+the same way), so every sample is a grid node and f is called once per
+node.
 
-The grid starts at step ``START_STEP``, with at least GREGORY_ROW steps
-(``nonlinear_solver.GREGORY_ROW``, the first row of the Gregory rule), and
-is halved, reusing its samples; from the third grid on, it is accepted
-when the estimate of the value returned meets the quadrature tolerance.
-With U_dt the value on step dt, each mode and output time takes the first
-of these that applies:
-
-  * the 4dt grid resolves the fast rate (dp_n*4*dt <= 1) and reaches the
-    time by its Gregory rows (t >= GREGORY_ROW*4*dt): the rule converges at
-    fourth order, and the Richardson value R_dt = U_dt + (U_dt - U_2dt)/15
-    is returned, with estimate |R_dt - R_2dt|/7;
-  * the same holds for the 2dt grid: U_dt, with estimate |U_dt - U_2dt|/7;
-  * otherwise U_dt, with the larger of |U_dt - U_2dt| and |U_2dt - U_4dt|
-    as estimate.  A boundary layer of width 1/dp_n that the grid does not
-    resolve converges at about first order, and there the raw difference
-    bounds the error; at times the 2dt grid reaches by its Newton-Cotes
-    rows the error changes rule from grid to grid, and one difference can
-    vanish by chance.
-
-A mode whose slow rate (dm_n; for an oscillating mode the fast rate
-h_n + omega_n) the 2dt grid does not resolve is sampled almost nowhere on
-its kernel, and two such grids can agree on a wrong value.  Its estimate
-is instead a bound on the error, |U_dt| + max|f_n| * int_0^inf |H_n|
-(|H_n'| for U'), with the integrals bounded by 1/dm_n^2 and 2/dm_n and
-the maximum taken over the grid's samples; a mode too small to matter
-passes, a larger one keeps the grid from being accepted.  The estimate is
-the largest over the modes, the output times and U' when the grid asks
-for it.
+The grid starts at step ``START_STEP``, with at least three steps, and is
+halved, reusing its samples.  With U_dt the value on step dt, each grid
+from the second forms the Richardson value R_dt = U_dt + (U_dt - U_2dt)/15,
+and from the third grid on R_dt is returned when the estimate of its
+error, |R_dt - R_2dt|/4, meets the quadrature tolerance.  The divisor 7
+would be exact for an error of order dt^3; 4 leaves a margin for grids
+on which the error has not yet taken its dt^4 form and the Richardson
+value over-corrects.  Before the third node of the 2dt grid one cubic
+carries the whole integral, the error does not scale as dt^4 from grid
+to grid, and the estimate there is the plain difference |U_dt - U_2dt|.
+The estimate is the largest over the modes, the output times and U' when
+the grid asks for it.
 """
 
 from __future__ import annotations
@@ -102,10 +84,10 @@ class QuadConfig:
     """Source-convolution accuracy.
 
     ``tol`` bounds the estimate of the error of the forced part returned at
-    the output times, Richardson-extrapolated where the grids resolve it
-    (with its time derivative when the grid asks for it; see the module
-    docstring); the source grid is halved at most ``MAX_DOUBLINGS`` times
-    before AccuracyError is raised.
+    the output times, Richardson-extrapolated (with its time derivative
+    when the grid asks for it; see the module docstring); the source grid
+    is halved at most ``MAX_DOUBLINGS`` times before AccuracyError is
+    raised.
     """
 
     tol: float = 1e-9
@@ -156,201 +138,94 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite")
 
 
-def _sampled(f, taus: np.ndarray, n_modes: int, known: dict,
-             on_grid: bool = False) -> np.ndarray:
+def _sampled(f, taus: np.ndarray, n_modes: int) -> np.ndarray:
     """Source spectra f(tau) as columns, padded or cut to n_modes.
 
-    ``known`` maps the times sampled before, off the grid, to their
-    columns: those are reused (and taken out of it when ``on_grid``, since
-    the grid keeps them), and ``f`` is called once at each other distinct
-    time, in increasing order, with a Python float.  Times off the grid add
-    their new columns to ``known``.  The spectra are gathered
-    ``SAMPLE_CHUNK`` at a time and copied into their columns by one
-    concatenation, so they are not all held at once.
+    ``f`` is called once per time, in order, with a Python float.  The
+    spectra are gathered ``SAMPLE_CHUNK`` at a time and copied into their
+    columns by one concatenation, so they are not all held at once.
     """
-    times = taus.tolist()
-    reused = np.fromiter((tau in known for tau in times), bool, len(times))
-    out = np.empty((n_modes, len(times)))
-    for i in np.flatnonzero(reused).tolist():
-        out[:, i] = known.pop(times[i]) if on_grid else known[times[i]]
-    new, where = np.unique(taus[~reused], return_inverse=True)
-    fresh = np.empty((n_modes, new.size))
-    for start in range(0, new.size, SAMPLE_CHUNK):
-        coeffs = [f(tau).coeffs for tau in new[start:start + SAMPLE_CHUNK].tolist()]
+    out = np.empty((n_modes, taus.size))
+    for start in range(0, taus.size, SAMPLE_CHUNK):
+        coeffs = [f(tau).coeffs for tau in taus[start:start + SAMPLE_CHUNK].tolist()]
         rows = np.concatenate([c if c.size == n_modes else pad_modes(c, n_modes)
                                for c in coeffs])
-        fresh[:, start:start + len(coeffs)] = rows.reshape(-1, n_modes).T
-    out[:, ~reused] = fresh[:, where]
-    if not on_grid:
-        known.update(zip(new.tolist(), fresh.T))
+        out[:, start:start + len(coeffs)] = rows.reshape(-1, n_modes).T
     return out
 
 
-def _from_zero(sample, table: ModeTable, f0: np.ndarray, t_out: np.ndarray,
-               early: np.ndarray, with_dt: bool):
-    """U, U' and the estimate of their error by two-panel Simpson from 0.
+def _forced_at(table: ModeTable, fgrid: np.ndarray, dt: float, t_out: np.ndarray):
+    """U = int_0^t f_n H_n(t - tau) dtau and U' (with H_n') at t_out.
 
-    U and U' are given at the ``early`` times and are zero at the others
-    (U' stays zero without ``with_dt``).  The estimate, per time, is the
-    largest over the modes of |S_2 - S_1|, S_1 the one-panel Simpson sum on
-    the nodes 0, t/2, t, divided by 15 where that panel resolves the fast
-    rate (dp*t/2 <= 1).  ``f0`` is the column f(0); ``sample`` gives the
-    columns at t/4, t/2, 3t/4 and, for U', at t.
-    """
-    n = table.n_modes
-    u, du = np.zeros((n, t_out.size)), np.zeros((n, t_out.size))
-    estimate = np.zeros(t_out.size)
-    t = t_out[early]
-    if t.size == 0:
-        return u, du, estimate
-    fq = sample(np.outer(t, (0.25, 0.5, 0.75)).ravel()).reshape(n, t.size, 3)
-    f0 = f0[:, None]
-    lags = np.outer((1.0, 0.75, 0.5, 0.25), t).ravel()
-    divisor = np.where(np.outer(table.dp, t / 2.0) <= 1.0, 15.0, 1.0)
-
-    def simpson(kernel, end):
-        # f(t) enters with the kernel at lag 0: ``end`` is f(t)*H(0)
-        h1, h34, h12, h14 = kernel(table, lags).reshape(n, 4, t.size).transpose(1, 0, 2)
-        two = t / 12.0 * (f0 * h1 + 4.0 * fq[..., 0] * h34 + 2.0 * fq[..., 1] * h12
-                          + 4.0 * fq[..., 2] * h14 + end)
-        one = t / 6.0 * (f0 * h1 + 4.0 * fq[..., 1] * h12 + end)
-        return two, np.max(np.abs(two - one) / divisor, axis=0)
-
-    # H(0) = 0 and H'(0) = 1
-    u[:, early], estimate[early] = simpson(kernel_values, 0.0)
-    if with_dt:
-        du[:, early], du_estimate = simpson(kernel_dt_values, sample(t))
-        estimate[early] = np.maximum(estimate[early], du_estimate)
-    return u, du, estimate
-
-
-def _forced_at(sample, table: ModeTable, fgrid: np.ndarray, dt: float,
-               t_out: np.ndarray, with_dt: bool, start):
-    """U = int_0^t f_n H_n(t - tau) dtau at t_out from the samples ``fgrid``.
-
-    Also returns U' = int_0^t f_n H_n'(t - tau) dtau when ``with_dt`` (else
-    None), and the estimate of the error at the times before the second
-    node (0 when there are none), which take their values and estimates
-    from ``start``, ``_from_zero``'s.  ``sample`` gives the source columns
-    off the grid.
+    ``fgrid`` holds the source samples on the grid of step ``dt`` from 0.
+    A time t_k + s after node k < steps, 0 < s <= dt, is reached from the
+    node by ``propagate_state`` and a partial step of the same stencil.
     """
     steps = fgrid.shape[1] - 1
-    nodes = dt * np.arange(steps + 1)
+    k = np.minimum(np.floor(t_out / dt).astype(int), steps - 1)
+    s = t_out - k * dt
+    off = s > 0.0
+    # the kernels at the grid's nodes, then at the partial steps' lengths;
+    # one step_weights call for the grid's step (node 1) and the partial steps
+    times = np.concatenate([dt * np.arange(steps + 1), s[off]])
+    hmat, hdmat = kernel_values(table, times), kernel_dt_values(table, times)
+    lengths = np.r_[1, steps + 1:times.size]
+    a, c = nonlinear_solver.step_weights(table, times[lengths], dt, hmat[:, lengths])
+    grid, partial = slice(0, steps + 1), slice(steps + 1, None)
+    w = propagate_state(table, a[..., :1], c[..., :1], hmat[:, None, grid], hdmat[:, None, grid])
     # looked up on its module at call time, so that a wrapper installed on
     # nonlinear_solver.volterra_convolve (perfbench's tracer) sees these calls
-    u_grid = nonlinear_solver.volterra_convolve(kernel_values(table, nodes), fgrid, dt)
-    du_grid = nonlinear_solver.volterra_convolve(kernel_dt_values(table, nodes), fgrid, dt)
-    k = np.minimum(np.floor(t_out / dt).astype(int), steps)
-    s = np.maximum(t_out - k * dt, 0.0)
-    u, du = u_grid[:, k], du_grid[:, k]
-    # before the second node the grid rule is the trapezoid, and two grids
-    # may both reach a time by the same Simpson step from 0
-    early = (k < 2) & (t_out > 0.0)
-    off = (s > 0.0) & ~early
+    u, du = (nonlinear_solver.volterra_convolve(wk, fgrid)[:, k] for wk in w)
     if np.any(off):
-        k, s = k[off], s[off]
-        hs, hds = kernel_values(table, s), kernel_dt_values(table, s)
-        hm, hdm = kernel_values(table, s / 2.0), kernel_dt_values(table, s / 2.0)
-        f0 = fgrid[:, k]
-        fm = sample(k * dt + s / 2.0)
-        w = s / 6.0
-        u_s, du_s = propagate_state(table, u[:, off], du[:, off], hs, hds)
-        # H(0) = 0 drops f(t) from the Simpson sum for U
-        u[:, off] = u_s + w * (f0 * hs + 4.0 * fm * hm)
-        if with_dt:
-            du[:, off] = du_s + w * (f0 * hds + 4.0 * fm * hdm + sample(t_out[off]))
-    start_u, start_du, start_estimate = start
-    u[:, early] = start_u[:, early]
-    du[:, early] = start_du[:, early]
-    return u, (du if with_dt else None), float(np.max(start_estimate[early], initial=0.0))
-
-
-def _extrapolated(table: ModeTable, t_out: np.ndarray, dt: float, f_max: np.ndarray,
-                  fine, coarse, coarser):
-    """The value returned at step ``dt`` and the estimate of its error.
-
-    ``fine``, ``coarse`` and ``coarser`` are the (U, U' or None) pairs on
-    the steps dt, 2dt and 4dt, and ``f_max`` is each mode's largest |f_n|
-    on the dt grid.  Per mode and output time, as the module docstring sets
-    out: Richardson's R = U_dt + (U_dt - U_2dt)/15 with estimate
-    |R_dt - R_2dt|/7 where the 4dt grid resolves the fast rate and reaches
-    the time by its Gregory rows; else U_dt, with estimate |U_dt - U_2dt|/7
-    where the 2dt grid does so and the larger of the last two differences
-    where it does not; and, for a mode whose slow rate the 2dt grid does
-    not resolve, the bound |U_dt| + f_max * int_0^inf |H_n| (|H_n'| for U').
-    """
-    first_row = nonlinear_solver.GREGORY_ROW
-
-    def gregory(step):
-        # modes the grid of this step resolves, at times its Gregory rows reach
-        return (table.dp * step <= 1.0)[:, None] & (t_out >= first_row * step)[None, :]
-
-    resolved = gregory(2.0 * dt)
-    extrapolate = gregory(4.0 * dt)
-    # an oscillation is resolved only with its fast rate h + omega
-    blind = (np.where(table.osc, table.dp, table.dm) * (2.0 * dt) > 1.0)[:, None]
-    # |H_n(t)| <= t e^{-dm t} in every regime, and H_n' integrates in
-    # absolute value to twice the peak of a one-hump H_n, or, for an
-    # oscillation, |H_n'| <= (1 + h t) e^{-h t}: int |H_n| <= 1/dm^2 and
-    # int |H_n'| <= 2/dm
-    bounds = (f_max / table.dm**2, 2.0 * f_max / table.dm)
-    values, estimate = [], 0.0
-    for u, u2, u4, bound in zip(fine, coarse, coarser, bounds):
-        if u is None:
-            values.append(None)
-            continue
-        change = u - u2
-        richardson = u + change / 15.0
-        change = np.where(extrapolate, (richardson - (u2 + (u2 - u4) / 15.0)) / 7.0,
-                          np.where(resolved, change / 7.0,
-                                   np.maximum(np.abs(change), np.abs(u2 - u4))))
-        change = np.where(blind, np.abs(u) + bound[:, None], change)
-        values.append(np.where(extrapolate, richardson, u))
-        estimate = max(estimate, float(np.max(np.abs(change))))
-    return tuple(values), estimate
+        # the stencil's nodes k-2..k+1
+        stencil = nonlinear_solver.with_ghosts(fgrid)[:, k[off][:, None] + np.arange(4)]
+        state = propagate_state(table, u[:, off], du[:, off], hmat[:, partial], hdmat[:, partial])
+        u[:, off], du[:, off] = (part + np.einsum("nqm,nmq->nm", wk[..., 1:], stencil)
+                                 for part, wk in zip(state, (a, c)))
+    return u, du
 
 
 def _forced(f, f0, table: ModeTable, t_out: np.ndarray, quad: QuadConfig,
             with_dt: bool):
     """Forced part (U, U' or None) at t_out, refined by step halving.
 
-    ``f0`` is the spectrum f(0.0), node 0 of every source grid.  A grid is
-    accepted from the third on, when its estimate meets the tolerance.
+    ``f0`` is the spectrum f(0.0), node 0 of every source grid.  From the
+    third grid on, the Richardson value is returned when its estimate (see
+    the module docstring) meets the tolerance.
     """
     horizon = float(np.max(t_out))
     n = table.n_modes
     if horizon == 0.0:
         zero = np.zeros((n, t_out.size))
         return zero, (zero.copy() if with_dt else None)
-    known = {0.0: pad_modes(f0.coeffs, n)}  # source columns sampled off the grid
-
-    def sample(taus, on_grid=False):
-        return _sampled(f, taus, n, known, on_grid)
-
-    # the first grid reaches the horizon by a Gregory row
-    steps = max(math.ceil(horizon / START_STEP), nonlinear_solver.GREGORY_ROW)
+    steps = max(math.ceil(horizon / START_STEP), 3)  # a cubic needs four nodes
     dt = horizon / steps
-    fgrid = sample(dt * np.arange(steps + 1), on_grid=True)
-    # every grid's times before its second node are among the first grid's
-    start = _from_zero(sample, table, fgrid[:, 0], t_out,
-                       (t_out > 0.0) & (t_out < 2.0 * dt), with_dt)
-    levels = []  # (U, U') on the last two grids, the finer first
+    fgrid = np.empty((n, steps + 1))
+    fgrid[:, 0] = pad_modes(f0.coeffs, n)
+    fgrid[:, 1:] = _sampled(f, dt * np.arange(1, steps + 1), n)
+    parts = 2 if with_dt else 1
+    coarse = richardson = None
     estimate = math.inf
     for doubling in range(MAX_DOUBLINGS + 1):
         if doubling:
             steps, dt = 2 * steps, dt / 2.0
             finer = np.empty((n, steps + 1))
             finer[:, ::2] = fgrid
-            finer[:, 1::2] = sample(dt * np.arange(1, steps, 2), on_grid=True)
+            finer[:, 1::2] = _sampled(f, dt * np.arange(1, steps, 2), n)
             fgrid = finer
-        *fine, early_estimate = _forced_at(sample, table, fgrid, dt, t_out, with_dt, start)
-        if len(levels) == 2:
-            value, estimate = _extrapolated(table, t_out, dt, np.max(np.abs(fgrid), axis=1),
-                                            fine, *levels)
-            estimate = max(estimate, early_estimate)
-            if estimate <= quad.tol:
-                return value
-        levels = [fine] + levels[:1]
+        fine = _forced_at(table, fgrid, dt, t_out)[:parts]
+        if coarse is not None:
+            last = richardson
+            richardson = [u + (u - u2) / 15.0 for u, u2 in zip(fine, coarse)]
+            if last is not None:
+                # before the third node of the 2dt grid one cubic carries the
+                # whole integral and the error is not C*dt^4 from grid to grid
+                early = t_out < 6.0 * dt
+                estimate = max(float(np.max(np.where(early, np.abs(u - u2), np.abs(r - r2) / 4.0)))
+                               for u, u2, r, r2 in zip(fine, coarse, richardson, last))
+                if estimate <= quad.tol:
+                    return richardson[0], (richardson[1] if with_dt else None)
+        coarse = fine
     raise AccuracyError(
         f"convolution quadrature did not reach tol = {quad.tol:.3g} on [0, {horizon:.3g}] "
         f"(last error estimate {estimate:.3g})", estimate=estimate)

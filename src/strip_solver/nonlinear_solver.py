@@ -10,40 +10,42 @@ evaluates F on a space-time collocation grid, expands it into sine
 spectra, and applies the per-mode Volterra convolution with the kernel
 H_n.
 
-The Volterra integrals use end-corrected trapezoid (Gregory) weights of
-order four; ``volterra_convolve`` evaluates them for a whole grid as one
-FFT convolution per mode plus boundary fixups, and is also the
-source-convolution rule of the linear solver.  Because H_n(0) = 0, row j
-of the rule only involves F at the nodes before j, so the discrete
-equations are explicit in time and a window is marched block by block
-(``BLOCK`` steps):
+The Volterra integrals integrate, on each time step, the cubic through
+the source at the nodes k-2..k+1 (0..3 on the first two steps) against
+the exact kernel: H_n solves y'' + 2 h_n y' + b_n^2 y = 0, so one step's
+weights are closed-form exponential moments (``step_weights``), and
+``modes.propagate_state`` carries them over any number of later steps.
+The error is the cubic's interpolation error of F times int |H_n|,
+whatever the mode's rates.  On a uniform grid the weights are lag
+weights, so ``volterra_convolve`` evaluates the rule for a whole grid as
+one FFT convolution per mode; it is also the source-convolution rule of
+the linear solver.  From the third step on, a step's stencil ends at the
+step's end, so a window is marched block by block (``BLOCK`` steps):
 
   * the first BLOCK + 1 rows are swept with ``volterra_convolve`` on the
     window's prefix;
-  * before a later block, the contribution of every earlier node is the
-    first component of one per-mode two-state recursion: H_n solves
-    y'' + 2 h_n y' + b_n^2 y = 0, so A = sum_i f_i H_n(t - t_i) and its time
-    derivative, carried from the end of the previous block, propagate over
-    the block's times through ``modes.propagate_state``;
-  * the block's own rows (with the Gregory end weights) are a strictly
-    lower-triangular Toeplitz per mode, and the Gregory start weights are
-    three columns of H_n;
+  * before a later block, the integrals against H_n and H_n' of every
+    earlier step, carried from the end of the previous block, propagate
+    over the block's times through ``modes.propagate_state``;
+  * the block's own steps are one operator per mode on the nodes from
+    two before the block to its end: lower triangular on the block's
+    nodes, whose diagonal is the weight of each step's own end;
   * a block is swept, starting from the spectra of the last known node
     (node 0 for the first block) held constant over the block, until its
-    grid change is within ``tol``; with a strictly lower-triangular
-    operator that takes at most BLOCK + 1 sweeps, and a few in practice.
+    grid change is within ``tol``.
 
 After each window, one full sweep of the marched window with
 ``volterra_convolve`` gives its fixed-point residual, the certificate
 that ``tol`` bounds.  Long horizons are split into equal windows of at
-most ``window``, which share one set of kernel samples, and integrated
-window by window, restarting from the end state (u, u_t).  Each window
-is synthesised straight into its columns of one field allocated before
-the first, so the working memory above that field is one window's,
-whatever the horizon.  A source that
-does not depend on u goes, as spectra f(t), to
-``linear_solver.solve_linear`` on the collocation grid, and ``tol`` then
-bounds its estimate of the error of the value it returns.
+most ``window``, which share one set of kernel samples and weights, and
+integrated window by window, restarting from the end state (u, u_t); u_t
+takes the marched integral against H_n'.  The interior rows of each
+window's field are the synthesis its residual sweep starts from, written
+straight into the window's columns of one field allocated before the
+first, so the working memory above that field is one window's, whatever
+the horizon.  A source that does not depend on u goes, as spectra f(t),
+to ``linear_solver.solve_linear`` on the collocation grid, and ``tol``
+then bounds its estimate of the error of the value it returns.
 
 For the biased sine source F = sin(u) - bias, the constant bias is
 expanded with its exact sine coefficients rather than sampled, which
@@ -162,20 +164,28 @@ class NonlinearProblem:
             raise ValueError("source must be a SourceTerm")
 
 
-# Exact Newton-Cotes weights for the short rows j = 1..4 of int_0^{j*dt} on
-# nodes 0..j (unit spacing): trapezoid, Simpson, 3/8 and Boole.
-_NEWTON_COTES = (
-    np.array([0.5, 0.5]),
-    np.array([1.0, 4.0, 1.0]) / 3.0,
-    np.array([3.0, 9.0, 9.0, 3.0]) / 8.0,
-    np.array([14.0, 64.0, 24.0, 64.0, 14.0]) / 45.0,
-)
-# Gregory order-four end weights (3/8, 7/6, 23/24) relative to trapezoid
-_GREGORY = (-1.0 / 8.0, 1.0 / 6.0, -1.0 / 24.0)
-# First row of the Gregory rule; the rows before it use Newton-Cotes weights
-GREGORY_ROW = len(_NEWTON_COTES) + 1
-# the same weights relative to a plain sum at the start nodes 0, 1, 2 of a row
-_START_WEIGHTS = (_GREGORY[0] - 0.5, _GREGORY[1], _GREGORY[2])
+# Monomial coefficients (columns: powers 0..3 of u) of the cubic Lagrange
+# basis on the stencil nodes u = -2, -1, 0, 1 (rows), in units of the step
+_LAGRANGE = np.array([[0.0, 1.0, 0.0, -1.0],
+                      [0.0, -6.0, 3.0, 3.0],
+                      [6.0, 3.0, -6.0, -3.0],
+                      [0.0, 2.0, 3.0, 1.0]]) / 6.0
+# (1 - v)^p = sum_i _BINOMIAL[p, i] v^i
+_BINOMIAL = np.array([[1.0, 0.0, 0.0, 0.0],
+                      [1.0, -1.0, 0.0, 0.0],
+                      [1.0, -2.0, 1.0, 0.0],
+                      [1.0, -3.0, 3.0, -1.0]])
+# the values at nodes -2, -1 of the cubic through nodes 0..3
+_GHOSTS = np.array([[10.0, 4.0], [-20.0, -6.0], [15.0, 4.0], [-4.0, -1.0]])
+
+
+def with_ghosts(f: np.ndarray) -> np.ndarray:
+    """Source samples (axis 1) with nodes -2 and -1 prepended: column c is node c - 2.
+
+    The two new nodes take the values of the cubic through nodes 0..3, so
+    the stencil k-2..k+1 of the steps k = 0, 1 is that cubic.
+    """
+    return np.concatenate([f[:, :4] @ _GHOSTS, f], axis=1)
 
 
 def _fast_len(n: int) -> int:
@@ -218,57 +228,135 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
     return full[lead + (slice(n),)]
 
 
-def volterra_convolve(kern: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    """Row-wise Volterra convolution U[:, j] ~ int_0^{t_j} f(tau) K(t_j - tau) dtau.
+def _exp_moments(z: np.ndarray, top: int) -> np.ndarray:
+    """psi_i(z) = int_0^1 v^i e^{z v} dv for i = 0..top, on a new last axis.
 
-    ``kern`` and ``f`` hold samples on the uniform grid j*dt along axis 1.
-    Rows j >= GREGORY_ROW use the order-four Gregory end correction on top
-    of a single FFT convolution; shorter rows use exact Newton-Cotes weights.
+    Re z <= 0.  Taylor series sum_k z^k/(k! (i + k + 1)) for |z| < 1, else
+    the recurrence psi_i = (e^z - i psi_{i-1})/z from psi_0 = (e^z - 1)/z,
+    which loses at most a factor top!/|z|^top.
     """
-    if kern.shape != f.shape:
-        raise ValueError("kernel and integrand sample arrays must have equal shape")
-    nt = kern.shape[1]
-    out = np.zeros_like(kern)
-    if nt == 1:
-        return out
-    base = fftconvolve(f, kern, axes=1)[:, :nt]
-    # trapezoid = raw convolution with halved end samples
-    base = base - 0.5 * f[:, [0]] * kern - 0.5 * f * kern[:, [0]]
-    g = GREGORY_ROW
-    if nt > g:
-        sl = slice(g, nt)
-        corr = np.zeros((kern.shape[0], nt - g))
-        for i, d in enumerate(_GREGORY):
-            corr += d * (f[:, [i]] * kern[:, g - i:nt - i] + f[:, g - i:nt - i] * kern[:, [i]])
-        out[:, sl] = base[:, sl] + corr
-    for j in range(1, min(g, nt)):
-        out[:, j] = (f[:, :j + 1] * kern[:, j::-1]) @ _NEWTON_COTES[j - 1]
-    return out * dt
+    out = np.empty(z.shape + (top + 1,), dtype=z.dtype)
+    small = np.abs(z) < 1.0
+    if small.any():
+        zs = z[small][:, None]
+        powers = np.arange(top + 1)
+        term, acc, bound = 1.0, 0.0, 1.0
+        radius = float(np.max(np.abs(zs)))
+        for k in range(18):  # 1/18! < 2^-52
+            acc = acc + term / (powers + k + 1)
+            term = term * zs / (k + 1)
+            bound *= radius / (k + 1)
+            if bound < 2.0**-53:  # the terms left are below rounding
+                break
+        out[small] = acc
+    if not small.all():
+        zl = z[~small]
+        ez = np.exp(zl)
+        psi = [(ez - 1.0) / zl]
+        for i in range(1, top + 1):
+            psi.append((ez - i * psi[-1]) / zl)
+        out[~small] = np.stack(psi, axis=-1)
+    return out
 
 
-def _row_weights(n: int) -> np.ndarray:
-    """Weights of row n >= 1 of ``volterra_convolve`` on nodes 0..n (unit spacing)."""
-    if n < GREGORY_ROW:
-        return _NEWTON_COTES[n - 1]
-    w = np.ones(n + 1)
-    w[[0, n]] = 0.5
-    for i, d in enumerate(_GREGORY):
-        w[[i, n - i]] += d
-    return w
+def step_weights(table: ModeTable, s: np.ndarray, dt: float, h_end: np.ndarray):
+    """Exact-kernel weights of one step of length s, 0 < s <= dt (a 1-D array).
 
+    The source on the step is the cubic through the grid nodes at -2dt,
+    -dt, 0 and dt from the step's start.  Returns (a, c), each of shape
+    (n_modes, 4, s.size): a[:, q] = int_0^s l_q(sigma) H_n(s - sigma) dsigma,
+    with l_q the Lagrange basis polynomial of node q, and c the same with
+    H_n'.  H_n solves y'' + 2h y' + b^2 y = 0, so ``propagate_state`` carries
+    the pair (a, c) on by m dt: its first component is then node q's weight
+    in the integral against H_n at m dt after the step's end, the second
+    the weight against H_n'.  ``h_end`` is H_n(s), as ``kernel_values``
+    gives it.
 
-def _block_operator(hmat: np.ndarray) -> np.ndarray:
-    """The in-block rows of the Gregory rule: one Toeplitz per mode.
-
-    Entry (r, c) is H_n((r - c)*dt) times the weight of lag r - c relative
-    to a plain sum: 7/6 at lag 1, 23/24 at lag 2, 1 beyond; it is strictly
-    lower triangular because H_n(0) = 0 and later nodes do not enter.
+    The moments m_i = int_0^s (r/s)^i H_n(r) dr are closed forms
+    (``_exp_moments``) in the kernel's exponential rates, complex for an
+    oscillatory mode.  Where omega*s <= 0.1, critical modes included,
+    they come from H_n's Maclaurin series in (omega r)^2 around e^{-h r}
+    instead, which avoids the cancellation of two nearly equal rates.
     """
-    size = min(BLOCK, hmat.shape[1])
-    kern = hmat[:, :size].copy()
-    kern[:, 1:3] *= 1.0 + np.array(_GREGORY[1:])
-    lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return np.ascontiguousarray(np.tril(kern[:, lag], -1))  # C order: fast batched matmul
+    s = np.asarray(s, dtype=float)
+    shape = (table.n_modes, s.size)
+
+    def at(mask, *columns):
+        # the step lengths and per-mode columns at the (mode, step) pairs of mask
+        return [np.broadcast_to(v, shape)[mask] for v in (s, *(c[:, None] for c in columns))]
+
+    near = np.outer(table.omega, s) <= 0.1
+    m = np.empty(shape + (4,))
+    # m_i = s^2 sum_k (sign (omega s)^2)^k / (2k+1)! psi_{i+2k+1}(-h s); five
+    # terms leave (omega s)^10 / 11! < 2^-52 of the first
+    sn, h, omega, sign = at(near, table.h, table.omega, table.sign)
+    psi = _exp_moments(-h * sn, 12)
+    y, coef = sign * (omega * sn) ** 2, 1.0
+    m[near] = 0.0
+    for k in range(5):
+        m[near] += coef * psi[:, 2 * k + 1:2 * k + 5]
+        coef = coef * y[:, None] / ((2 * k + 2) * (2 * k + 3))
+    m[near] *= (sn * sn)[:, None]
+    # elsewhere H_n = (e^{-dm r} - e^{-dp r}) / (dp - dm), or for an
+    # oscillatory mode Im e^{-(h - i omega) r} / omega
+    over = ~near & table.over[:, None]
+    so, dm, dp = at(over, table.dm, table.dp)
+    m[over] = (so * so)[:, None] * (_exp_moments(-dm * so, 3) - _exp_moments(-dp * so, 3)) / (
+        (dp - dm) * so)[:, None]
+    osc = ~near & table.osc[:, None]
+    so, h, omega = at(osc, table.h, table.omega)
+    m[osc] = (so * so)[:, None] * _exp_moments(-(h - 1j * omega) * so, 3).imag / (
+        omega * so)[:, None]
+    # int_0^s (r/s)^i H_n'(r) dr = H_n(s) - i m_{i-1} / s, by parts
+    m_dt = h_end[:, :, None] - np.arange(4) * np.concatenate(
+        [np.zeros_like(m[..., :1]), m[..., :3]], axis=-1) / s[:, None]
+    # l_q(u) at u = (s/dt)(1 - r/s), expanded in powers of r/s
+    scale = (s / dt)[:, None] ** np.arange(4)
+    return tuple(np.moveaxis((mom @ _BINOMIAL.T * scale) @ _LAGRANGE.T, 1, 2)
+                 for mom in (m, m_dt))
+
+
+def volterra_convolve(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row-wise Volterra convolution U[:, j] = int_0^{t_j} p(tau) K(t_j - tau) dtau.
+
+    ``f`` holds source samples on a uniform grid, at least four nodes,
+    along axis 1.  On each step p is the cubic through the nodes k-2..k+1,
+    and through nodes 0..3 on the first two steps (``with_ghosts``).
+    ``w[:, q, m]`` is the weight of stencil node q of a step that ends m
+    steps before the row, for K = H_n or H_n' (``step_weights`` carried by
+    ``propagate_state``).  Summed over the steps that reach a node, these
+    are lag weights sum_q w[:, q, L - 3 + q], applied by one FFT
+    convolution; the first rows then lose the step before node 0, which
+    does not exist, and gain the steps 0 and 1 on the nodes -2 and -1.
+    """
+    nt = f.shape[1]
+    lag = w[:, 3].copy()
+    for q in range(3):
+        lag[:, 3 - q:] += w[:, q, :q - 3]
+    out = fftconvolve(f, lag, axes=1)[:, :nt]
+    ghost = with_ghosts(f[:, :4])  # nodes -2, -1, then 0..3
+    out -= f[:, :1] * w[:, 3]
+    out[:, 1:] += ghost[:, :1] * w[:, 0, :-1] + ghost[:, 1:2] * w[:, 1, :-1]
+    out[:, 2:] += ghost[:, 1:2] * w[:, 0, :-2]
+    out[:, 0] = 0.0
+    return out
+
+
+def _block_operator(w) -> np.ndarray:
+    """A block's own steps, one operator per mode, for H_n and H_n'.
+
+    ``w`` is the pair of weights ``volterra_convolve`` takes.  In a block
+    after node j0, entry (r, c) is the weight of node j0 - 2 + c at node
+    j0 + 1 + r from the steps j0..j0 + r: the stencils of the first three
+    reach back to the nodes j0 - 2..j0, and the last gives the diagonal.
+    """
+    size = min(BLOCK, w[0].shape[-1] - 1)
+    lags = np.stack([wk[..., :size] for wk in w])
+    op = np.zeros(lags.shape[:2] + (size, size + 3))
+    r, k = np.tril_indices(size)
+    for q in range(4):
+        op[..., r, k + q] += lags[..., q, r - k]
+    return op
 
 
 def _linear_f(source: SourceTerm, l: float, n_modes: int):
@@ -352,12 +440,13 @@ def _sweep_block(lin, conv, f_guess, sin_int, spectra, t_abs, cfg):
     return modal, fhat, cfg.max_iter, False
 
 
-def _march_window(table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, dt, cfg):
-    """March u = lin - volterra_convolve(H, F(u)) over one window, block by block.
+def _march_window(table, hmat, hdmat, w, block_op, lin, sin_int, spectra, t_abs, cfg):
+    """March u = lin - volterra_convolve(w[0], F(u)) over one window, block by block.
 
-    ``hmat``/``hdmat`` hold H_n and H_n' at the window's relative times.
-    Returns the modal solution, the sweeps of each block and whether every
-    block met ``tol``.
+    ``hmat``/``hdmat`` hold H_n and H_n' at the window's relative times, and
+    ``w`` the weights of ``volterra_convolve`` for H_n and H_n'.  Returns the
+    modal solution, U' = int_0^t F H_n'(t - tau) dtau at the window's end,
+    the sweeps of each block and whether every block met ``tol``.
     """
     steps = lin.shape[1] - 1
     modal, fhat = np.empty_like(lin), np.empty_like(lin)
@@ -365,35 +454,30 @@ def _march_window(table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, dt
     cols = slice(0, j0 + 1)
     f_start = _evaluating(spectra, sin_int @ lin[:, :1], t_abs[:1])
     modal[:, cols], fhat[:, cols], sweeps, ok = _sweep_block(
-        lin[:, cols], lambda f: volterra_convolve(hmat[:, cols], f, dt), f_start,
+        lin[:, cols], lambda f: volterra_convolve(w[0][..., cols], f), f_start,
         sin_int, spectra, t_abs[cols], cfg)
     counts = [sweeps]
-    # the history A = sum_{i <= j0} f_i H_n((j0 - i) dt) and its derivative
-    acc = (fhat[:, :j0 + 1] * hmat[:, j0::-1]).sum(axis=1)
-    acc_dt = (fhat[:, :j0 + 1] * hdmat[:, j0::-1]).sum(axis=1)
-    w1, w2 = _GREGORY[1:]
+    # the history: the integrals against H_n and H_n' at node j0
+    state = [volterra_convolve(wk[..., cols], fhat[:, cols])[:, -1] for wk in w]
     while j0 < steps:
         size = min(BLOCK, steps - j0)
         cols = slice(j0 + 1, j0 + size + 1)
-        hist, hist_dt = propagate_state(table, acc[:, None], acc_dt[:, None],
-                                        hmat[:, 1:size + 1], hdmat[:, 1:size + 1])
-        known = hist.copy()
-        for i, w in enumerate(_START_WEIGHTS):
-            known += w * fhat[:, [i]] * hmat[:, j0 + 1 - i:j0 + size + 1 - i]
-        # end weights of the block's first two rows that fall on nodes j0 - 1, j0
-        known[:, 0] += w1 * fhat[:, j0] * hmat[:, 1] + w2 * fhat[:, j0 - 1] * hmat[:, 2]
-        if size > 1:
-            known[:, 1] += w2 * fhat[:, j0] * hmat[:, 2]
-        op = block_op[:, :size, :size]
+        hist = propagate_state(table, state[0][:, None], state[1][:, None],
+                               hmat[:, 1:size + 1], hdmat[:, 1:size + 1])
+        lead = fhat[:, j0 - 2:j0 + 1]
+        op = block_op[..., :size, :size + 3]
+
+        def conv(f):
+            return hist[0] + (op[0] @ np.concatenate([lead, f], axis=1)[:, :, None])[:, :, 0]
+
         modal[:, cols], fhat[:, cols], sweeps, block_ok = _sweep_block(
-            lin[:, cols], lambda f: dt * (known + (op @ f[:, :, None])[:, :, 0]),
-            fhat[:, [j0]], sin_int, spectra, t_abs[cols], cfg)
+            lin[:, cols], conv, fhat[:, [j0]], sin_int, spectra, t_abs[cols], cfg)
         counts.append(sweeps)
         ok &= block_ok
-        acc = hist[:, -1] + (fhat[:, cols] * hmat[:, size - 1::-1]).sum(axis=1)
-        acc_dt = hist_dt[:, -1] + (fhat[:, cols] * hdmat[:, size - 1::-1]).sum(axis=1)
+        nodes = np.concatenate([lead, fhat[:, cols]], axis=1)
+        state = [hk[:, -1] + (opk[:, -1] * nodes).sum(axis=1) for hk, opk in zip(hist, op)]
         j0 += size
-    return modal, counts, ok
+    return modal, state[1], counts, ok
 
 
 def _solve_linear_source(prob: NonlinearProblem, cfg: PicardConfig, x: np.ndarray) -> Field:
@@ -427,49 +511,52 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
             iterations=0, converged=True)
     table = mode_table(p, n_modes)
     sin_int = np.sin(np.outer(x[1:-1], table.gamma))
-    sin_full = np.zeros((cfg.nx, n_modes))
-    sin_full[1:-1, :] = sin_int
     g0c, g1c = pad_modes(prob.g0.coeffs, n_modes), pad_modes(prob.g1.coeffs, n_modes)
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
     traces = []
     iterations = 0
-    # equal windows of at most cfg.window share H, H' and the block operator
-    # at their relative times; a window past the horizon (inf too) is one
+    # equal windows of at most cfg.window share H, H', the weights and the
+    # block operator at their relative times; a window past the horizon
+    # (inf too) is one; a cubic step needs four nodes
     n_windows = max(1, math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12)))
     span = prob.horizon / n_windows
-    steps = max(2, round(span / cfg.dt))
+    steps = max(3, round(span / cfg.dt))
     t_rel = span * np.arange(steps + 1) / steps
     dt = span / steps
     hmat, hdmat = kernel_values(table, t_rel), kernel_dt_values(table, t_rel)
-    block_op = _block_operator(hmat)
+    w = propagate_state(table, *step_weights(table, t_rel[1:2], dt, hmat[:, 1:2]),
+                        hmat[:, None], hdmat[:, None])
+    block_op = _block_operator(w)
+    # beyond the block operator, H_n' enters only the first block's state
+    w = (w[0], w[1][..., :BLOCK + 1].copy())
     # window k fills columns k*steps .. (k+1)*steps; a window's first column
     # is its predecessor's last, written once
     t_nodes = np.empty(n_windows * steps + 1)
     values = np.empty((cfg.nx, t_nodes.size))
+    values[[0, -1]] = 0.0
     for k in range(n_windows):
         t0, t1 = k * span, (k + 1) * span
         t_abs = t0 + t_rel
         # the initial data's u over the window; its u_t only at the end, below
         lin = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)[0]
-        modal, counts, ok = _march_window(table, hmat, hdmat, block_op, lin, sin_int,
-                                          spectra, t_abs, dt, cfg)
+        modal, forced_dt_end, counts, ok = _march_window(
+            table, hmat, hdmat, w, block_op, lin, sin_int, spectra, t_abs, cfg)
         # one full sweep of the marched window: its fixed-point residual
         grid = sin_int @ modal
         fhat = _evaluating(spectra, grid, t_abs)
-        swept = _finite(sin_int @ (lin - volterra_convolve(hmat, fhat, dt)))
+        swept = _finite(sin_int @ (lin - volterra_convolve(w[0], fhat)))
         swept -= grid
         residual = float(np.abs(swept, out=swept).max())
         ok = ok and residual <= cfg.tol
         lin_dt_end = propagate_state(table, g0c, g1c, hmat[:, -1], hdmat[:, -1])[1]
-        modal_dt_end = lin_dt_end - dt * (fhat * hdmat[:, ::-1]) @ _row_weights(steps)
         iterations += sum(counts)
         traces.append({"t_start": t0, "t_end": t1, "iterations": max(counts),
                        "residual": residual, "converged": ok})
         start = 1 if k else 0
         cols = slice(k * steps + start, (k + 1) * steps + 1)
         t_nodes[cols] = t_abs[start:]
-        values[:, cols] = sin_full @ modal[:, start:]
-        g0c, g1c = modal[:, -1], modal_dt_end
+        values[1:-1, cols] = grid[:, start:]
+        g0c, g1c = modal[:, -1], lin_dt_end - forced_dt_end
     fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
     report = PicardReport(iterations=iterations,
                           converged=all(w["converged"] for w in traces),

@@ -40,7 +40,7 @@ DEFAULT_NUM_POINTS = 2049
 DST_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SineSpectrum:
     """Coefficients g_n, n = 1..N, of a sine series on (0, l).
 
@@ -51,12 +51,12 @@ class SineSpectrum:
     l: float
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"length must be positive, got {self.l!r}")
-        if np.asarray(self.coeffs).dtype.kind == "c":
+    def __init__(self, l: float, coeffs):
+        if not (math.isfinite(l) and l > 0):
+            raise ValueError(f"length must be positive, got {l!r}")
+        if np.asarray(coeffs).dtype.kind == "c":
             raise ValueError("coefficients must be real")
-        c = np.array(self.coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
         # a finite sum has only finite terms; the exact check runs only when
@@ -65,6 +65,7 @@ class SineSpectrum:
         if not (math.isfinite(sum(c.tolist())) or np.isfinite(c).all()):
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "coeffs", c)
 
     @property

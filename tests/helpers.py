@@ -12,8 +12,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from strip_solver.errors import TruncationError
 from strip_solver.green_kernel import MODE_CAP, TruncationPlan, green_profile, plan_truncation
-from strip_solver.modes import kernel_values, mode_table
-from strip_solver.nonlinear_solver import volterra_convolve
+from strip_solver.modes import kernel_dt_values, kernel_values, mode_table, propagate_state
+from strip_solver.nonlinear_solver import step_weights, volterra_convolve
 from strip_solver.sources import depends_on_u, evaluate_source
 
 
@@ -244,7 +244,10 @@ def sine_gordon_sweep(p, linear_part, u, bias, n_modes):
     n = np.arange(1, n_modes + 1)
     fhat = dst(np.sin(u.values[1:-1, :]), type=1, axis=0)[:n_modes, :] / (x.size - 1)
     fhat -= (bias * 2.0 * (1.0 - (-1.0) ** n) / (n * np.pi))[:, None]
-    uf = volterra_convolve(kernel_values(table, t), fhat, t[1] - t[0])
+    hmat, hdmat = kernel_values(table, t), kernel_dt_values(table, t)
+    w = propagate_state(table, *step_weights(table, t[1:2], t[1] - t[0], hmat[:, 1:2]),
+                        hmat[:, None], hdmat[:, None])[0]
+    uf = volterra_convolve(w, fhat)
     sin_full = np.sin(np.outer(x, table.gamma))
     sin_full[[0, -1], :] = 0.0
     return linear_part.values - sin_full @ uf

@@ -290,6 +290,13 @@ class TestInputErrors:
         self.assert_usage_error(res)
         assert "horizon" in res.stderr
 
+    def test_oracle_output_times_beyond_the_limit(self, run_cli):
+        # numpy cannot allocate T / t_out_every = 5e160 output times
+        res = run_cli("oracle", "--config", str(CONFIGS / "oracle.cfg"), "--T", "1e160",
+                      "--dt", "1e160")
+        self.assert_usage_error(res)
+        assert "--T / --t-out-every" in res.stderr and "1000000 output times" in res.stderr
+
     def test_oracle_infinite_step(self, run_cli):
         res = run_cli("oracle", "--T", "1", "--nx", "15", "--dt", "inf", "--t-out-every", "0.5")
         self.assert_usage_error(res)

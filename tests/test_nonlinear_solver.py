@@ -11,12 +11,13 @@ from strip_solver.errors import NumericalError
 from strip_solver.fd_oracle import OracleConfig, oracle_solve
 from strip_solver.fields import Field
 from strip_solver.linear_solver import GridSpec, LinearProblem, QuadConfig, solve_linear
-from strip_solver.modes import mode_table
+from strip_solver.modes import kernel_dt_values, kernel_values, mode_table, propagate_state
 from strip_solver.nonlinear_solver import (
     NonlinearProblem,
     PicardConfig,
     picard_solve,
     sine_gordon_apriori_bound,
+    step_weights,
     volterra_convolve,
 )
 from strip_solver.sources import (
@@ -57,25 +58,43 @@ def iterated_sweep(prob, grid_like, n_modes, tol, diffs=None, max_sweeps=100):
     raise AssertionError(f"sweeps stalled at {diff:.3g} > {tol:.3g}")
 
 
-class TestVolterraConvolve:
-    def test_exponential_kernel_closed_form(self):
-        dt, nt = 0.01, 301
-        t = np.arange(nt) * dt
-        kern = np.exp(-2.0 * t)[None, :]
-        f = np.sin(3.0 * t)[None, :]
-        out = volterra_convolve(kern, f, dt)
-        exact = (2 * np.sin(3 * t) - 3 * np.cos(3 * t) + 3 * np.exp(-2 * t)) / 13.0
-        assert np.max(np.abs(out[0] - exact)) < 2e-6
+def lag_weights(table, t):
+    """``volterra_convolve``'s weights for H_n and H_n' on the uniform grid t from 0."""
+    hmat, hdmat = kernel_values(table, t), kernel_dt_values(table, t)
+    return propagate_state(table, *step_weights(table, t[1:2], t[1], hmat[:, 1:2]),
+                           hmat[:, None], hdmat[:, None])
 
-    def test_third_order_convergence(self):
-        errs = []
-        for dt in (0.02, 0.01, 0.005):
-            nt = round(3.0 / dt) + 1
-            t = np.arange(nt) * dt
-            out = volterra_convolve(np.exp(-2 * t)[None, :], np.sin(3 * t)[None, :], dt)
-            exact = (2 * np.sin(3 * t) - 3 * np.cos(3 * t) + 3 * np.exp(-2 * t)) / 13.0
-            errs.append(np.max(np.abs(out[0] - exact)))
-        assert errs[0] / errs[1] > 6.0 and errs[1] / errs[2] > 6.0
+
+class TestVolterraConvolve:
+    # P_EQ's mode 1 is critical, H = t e^{-t}; with lambda = 1 + 3i,
+    # int_0^t cos(3 tau) H(t - tau) dtau = Re e^{3it} (1 - (1 + lambda t) e^{-lambda t}) / lambda^2
+    def cos_error(self, dt):
+        t = np.arange(round(3.0 / dt) + 1) * dt
+        out = volterra_convolve(lag_weights(mode_table(P_EQ, 1), t)[0], np.cos(3.0 * t)[None, :])
+        lam = 1.0 + 3.0j
+        exact = np.real(np.exp(3j * t) * (1.0 - (1.0 + lam * t) * np.exp(-lam * t)) / lam**2)
+        return np.max(np.abs(out[0] - exact))
+
+    def test_critical_kernel_closed_form(self):
+        assert self.cos_error(0.01) < 5e-9
+
+    def test_fourth_order_convergence(self):
+        errs = [self.cos_error(dt) for dt in (0.04, 0.02, 0.01)]
+        assert errs[0] / errs[1] > 14.0 and errs[1] / errs[2] > 14.0
+
+    def test_constant_source_is_exact_in_stiff_modes(self):
+        # the sine source's bias on 64 modes of P_EQ, whose fast rates reach
+        # dp*dt = 41 at dt 0.01: int_0^t H_n = (1 - H_n' - 2 h_n H_n)/b_n^2 and
+        # int_0^t H_n' = H_n, to rounding at all 129 collocation nodes
+        table = mode_table(P_EQ, 64)
+        t = np.arange(1001) * 0.01
+        fhat = np.repeat(constant_coefficients(-0.45, L, 64)[:, None], t.size, axis=1)
+        u, du = (volterra_convolve(wk, fhat) for wk in lag_weights(table, t))
+        hmat, hdmat = kernel_values(table, t), kernel_dt_values(table, t)
+        sin_mat = np.sin(np.outer(np.linspace(0.0, L, 129), table.gamma))
+        exact = fhat * (1.0 - hdmat - 2.0 * table.h[:, None] * hmat) / table.b[:, None]**2
+        assert np.max(np.abs(sin_mat @ (u - exact))) <= 1e-13
+        assert np.max(np.abs(sin_mat @ (du - fhat * hmat))) <= 1e-13
 
 
 class TestFftConvolve:
@@ -180,7 +199,7 @@ class TestPicardSolve:
         assert not rep.window_traces[0]["converged"]
         assert 1e-10 < rep.window_traces[0]["residual"] < 1e-4
 
-    @pytest.mark.parametrize("steps", [2, 33, 34, 64, 65, 97])
+    @pytest.mark.parametrize("steps", [3, 33, 34, 64, 65, 97])
     def test_march_matches_iterated_sweep_at_block_edges(self, steps):
         # step counts around the block boundaries: a first block alone, one
         # later block of 1 or 2 steps, and a short last block
@@ -208,6 +227,19 @@ class TestPicardSolve:
         assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == pytest.approx(
             [(0.0, 0.875), (0.875, 1.75), (1.75, 2.625), (2.625, 3.5)], abs=1e-15)
         assert sorted(calls) == ["kernel_dt_values", "kernel_values"]
+
+    def test_biased_sine_source_does_not_depend_on_the_step(self):
+        # 64 modes of P_EQ reach dp*dt = 41 at dt 0.01; the sampled kernel's
+        # rule moved the field by 8.1e-7 at integer times when dt halved
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                source=SineGordonSource(bias=0.45), horizon=20.0)
+        at_integers = []
+        for dt in (0.01, 0.005):
+            fld, rep = picard_solve(prob, PicardConfig(tol=1e-11, nx=129, dt=dt, n_modes=64))
+            cols = np.round(np.arange(21) / dt).astype(int)
+            assert rep.converged and np.allclose(fld.t_nodes[cols], np.arange(21))
+            at_integers.append(fld.values[:, cols])
+        assert np.max(np.abs(at_integers[0] - at_integers[1])) <= 1e-8
 
     def test_horizon_just_past_a_window_leaves_no_sliver(self):
         # 10.000001 at window 10 is two windows of 5.0000005, not a window
