@@ -18,31 +18,34 @@ weights are closed-form exponential moments (``step_weights``), and
 The error is the cubic's interpolation error of F times int |H_n|,
 whatever the mode's rates.  On a uniform grid the weights are lag
 weights, so ``volterra_convolve`` evaluates the rule for a whole grid as
-one FFT convolution per mode; it is also the source-convolution rule of
-the linear solver.  From the third step on, a step's stencil ends at the
-step's end, so a window is marched block by block (``BLOCK`` steps):
+one FFT convolution per mode; the linear solver convolves its sources
+with it.  From the third step on, a step's stencil ends at the step's
+end, so a window is marched block by block (``BLOCK`` steps), the first
+block as every other:
 
-  * the first BLOCK + 1 rows are swept with ``volterra_convolve`` on the
-    window's prefix;
-  * before a later block, the integrals against H_n and H_n' of every
-    earlier step, carried from the end of the previous block, propagate
-    over the block's times through ``modes.propagate_state``;
+  * before a block, the integrals against H_n and H_n' of every earlier
+    step, carried from the end of the previous block (zero before the
+    first), propagate over the block's times through
+    ``modes.propagate_state``;
   * the block's own steps are one operator per mode on the nodes from
     two before the block to its end: lower triangular on the block's
-    nodes, whose diagonal is the weight of each step's own end;
-  * a block is swept, starting from the spectra of the last known node
-    (node 0 for the first block) held constant over the block, until its
-    grid change is within ``tol``.
+    nodes, whose diagonal is the weight of each step's own end; the first
+    block's nodes -2 and -1 are those of the cubic through its nodes 0..3
+    (``with_ghosts``);
+  * a block is swept, starting from the spectra of the node before it
+    held constant over the block, until its grid change is within
+    ``tol``.  It keeps the iterate u whose spectra the last sweep
+    evaluated, and the history carried on is built from them, so that
+    sweep's change is sup|T(u) - u| on the block for the field returned;
+    the largest over a window's blocks is the window's fixed-point
+    residual, the certificate that ``tol`` bounds.
 
-After each window, one full sweep of the marched window with
-``volterra_convolve`` gives its fixed-point residual, the certificate
-that ``tol`` bounds.  Long horizons are split into equal windows of at
-most ``window``, which share one set of kernel samples and weights, and
-integrated window by window, restarting from the end state (u, u_t); u_t
-takes the marched integral against H_n'.  The interior rows of each
-window's field are the synthesis its residual sweep starts from, written
-straight into the window's columns of one field allocated before the
-first, so the working memory above that field is one window's, whatever
+Long horizons are split into equal windows of at most ``window``, which
+share one set of kernel samples and block operators, and integrated
+window by window, restarting from the end state (u, u_t): the initial
+data's part less the carried integrals.  Each block's field is written
+straight into its columns of one field allocated before the first
+window, so the working memory above that field is one window's, whatever
 the horizon.  A source that does not depend on u goes, as spectra f(t),
 to ``linear_solver.solve_linear`` on the collocation grid, and ``tol``
 then bounds its estimate of the error of the value it returns.
@@ -135,8 +138,9 @@ class PicardReport:
 
     ``iterations`` counts the block sweeps of all windows.  Each window
     trace holds ``t_start``, ``t_end``, ``iterations`` (the most sweeps any
-    one block needed), ``residual`` (the window's fixed-point residual, its
-    certificate) and ``converged``.  A u-independent source is not
+    one block needed), ``residual`` (the window's certificate: the largest
+    last-sweep change among its blocks, sup|T(u) - u| of the field
+    returned) and ``converged``.  A u-independent source is not
     iterated: ``iterations`` is 0, there are no window traces and
     ``converged`` is True (``solve_linear`` raises when it misses ``tol``).
     """
@@ -328,6 +332,8 @@ def volterra_convolve(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     are lag weights sum_q w[:, q, L - 3 + q], applied by one FFT
     convolution; the first rows then lose the step before node 0, which
     does not exist, and gain the steps 0 and 1 on the nodes -2 and -1.
+    It serves ``linear_solver`` and the tests' independent sweeps; the
+    march applies the same weights block by block (``_block_operator``).
     """
     nt = f.shape[1]
     lag = w[:, 3].copy()
@@ -345,10 +351,10 @@ def volterra_convolve(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _block_operator(w) -> np.ndarray:
     """A block's own steps, one operator per mode, for H_n and H_n'.
 
-    ``w`` is the pair of weights ``volterra_convolve`` takes.  In a block
-    after node j0, entry (r, c) is the weight of node j0 - 2 + c at node
-    j0 + 1 + r from the steps j0..j0 + r: the stencils of the first three
-    reach back to the nodes j0 - 2..j0, and the last gives the diagonal.
+    ``w`` is the pair of weights ``volterra_convolve`` takes, to lag BLOCK.
+    In a block after node j0, entry (r, c) is the weight of node j0 - 2 + c
+    at node j0 + 1 + r from the steps j0..j0 + r: the stencils of the first
+    three reach back to the nodes j0 - 2..j0, and the last gives the diagonal.
     """
     size = min(BLOCK, w[0].shape[-1] - 1)
     lags = np.stack([wk[..., :size] for wk in w])
@@ -421,63 +427,64 @@ def _finite(grid: np.ndarray) -> np.ndarray:
 
 
 def _sweep_block(lin, conv, f_guess, sin_int, spectra, t_abs, cfg):
-    """Picard sweeps of u = lin - conv(F(u)) until the grid change is <= tol.
+    """Picard sweeps of u = T(u) = lin - conv(F(u)) until the grid change is <= tol.
 
-    The first sweep starts from lin - conv(f_guess), with the spectra
-    column ``f_guess`` held constant over the block.  Returns the last
-    iterate, the spectra it was computed from, the number of sweeps and
-    whether ``tol`` was met within ``max_iter`` sweeps.
+    The first iterate is lin - conv(f_guess), with the spectra column
+    ``f_guess`` held constant over the block.  Returns the iterate u whose
+    spectra F(u) were evaluated last, those spectra, that sweep's change
+    sup|T(u) - u| on the block and the number of sweeps, also when
+    ``max_iter`` sweeps fall short of ``tol``.
     """
-    grid = sin_int @ (lin - conv(np.repeat(f_guess, lin.shape[1], axis=1)))
+    swept = sin_int @ (lin - conv(np.repeat(f_guess, lin.shape[1], axis=1)))
     for sweep in range(1, cfg.max_iter + 1):
+        grid = swept
         fhat = _evaluating(spectra, grid, t_abs)
-        modal = lin - conv(fhat)
-        grid_next = _finite(sin_int @ modal)
-        diff = float(np.max(np.abs(grid_next - grid)))
-        grid = grid_next
-        if diff <= cfg.tol:
-            return modal, fhat, sweep, True
-    return modal, fhat, cfg.max_iter, False
+        swept = _finite(sin_int @ (lin - conv(fhat)))
+        change = float(np.max(np.abs(swept - grid)))
+        if change <= cfg.tol:
+            break
+    return grid, fhat, change, sweep
 
 
-def _march_window(table, hmat, hdmat, w, block_op, lin, sin_int, spectra, t_abs, cfg):
-    """March u = lin - volterra_convolve(w[0], F(u)) over one window, block by block.
+def _march_window(table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, cfg, out):
+    """March u = lin - int_0^t F(u) H_n(t - tau) dtau over one window, block by block.
 
-    ``hmat``/``hdmat`` hold H_n and H_n' at the window's relative times, and
-    ``w`` the weights of ``volterra_convolve`` for H_n and H_n'.  Returns the
-    modal solution, U' = int_0^t F H_n'(t - tau) dtau at the window's end,
-    the sweeps of each block and whether every block met ``tol``.
+    ``hmat``/``hdmat`` hold H_n and H_n' at the window's relative times.
+    Writes u at the window's nodes 1..steps into those columns of ``out``
+    and returns the integrals against H_n and H_n' at the window's end,
+    the sweeps of each block and the window's residual: the largest
+    last-sweep change of its blocks, sup|T(u) - u| of the u written.
     """
     steps = lin.shape[1] - 1
-    modal, fhat = np.empty_like(lin), np.empty_like(lin)
-    j0 = min(BLOCK, steps)
-    cols = slice(0, j0 + 1)
-    f_start = _evaluating(spectra, sin_int @ lin[:, :1], t_abs[:1])
-    modal[:, cols], fhat[:, cols], sweeps, ok = _sweep_block(
-        lin[:, cols], lambda f: volterra_convolve(w[0][..., cols], f), f_start,
-        sin_int, spectra, t_abs[cols], cfg)
-    counts = [sweeps]
-    # the history: the integrals against H_n and H_n' at node j0
-    state = [volterra_convolve(wk[..., cols], fhat[:, cols])[:, -1] for wk in w]
+    state = (np.zeros(table.n_modes),) * 2  # the integrals at node j0
+    # F at the nodes j0 - 2..j0, at node 0 alone before the first block
+    lead = _evaluating(spectra, sin_int @ lin[:, :1], t_abs[:1])
+    counts, residual, j0 = [], 0.0, 0
     while j0 < steps:
         size = min(BLOCK, steps - j0)
         cols = slice(j0 + 1, j0 + size + 1)
         hist = propagate_state(table, state[0][:, None], state[1][:, None],
                                hmat[:, 1:size + 1], hdmat[:, 1:size + 1])
-        lead = fhat[:, j0 - 2:j0 + 1]
         op = block_op[..., :size, :size + 3]
 
-        def conv(f):
-            return hist[0] + (op[0] @ np.concatenate([lead, f], axis=1)[:, :, None])[:, :, 0]
+        def stencil(f):
+            # F at the nodes j0 - 2..j0 + size; the first block's nodes -2
+            # and -1 come from the cubic through its nodes 0..3
+            nodes = np.concatenate([lead, f], axis=1)
+            return with_ghosts(nodes) if j0 == 0 else nodes
 
-        modal[:, cols], fhat[:, cols], sweeps, block_ok = _sweep_block(
-            lin[:, cols], conv, fhat[:, [j0]], sin_int, spectra, t_abs[cols], cfg)
+        def conv(f):
+            return hist[0] + (op[0] @ stencil(f)[:, :, None])[:, :, 0]
+
+        out[:, cols], fhat, change, sweeps = _sweep_block(
+            lin[:, cols], conv, lead[:, -1:], sin_int, spectra, t_abs[cols], cfg)
         counts.append(sweeps)
-        ok &= block_ok
-        nodes = np.concatenate([lead, fhat[:, cols]], axis=1)
-        state = [hk[:, -1] + (opk[:, -1] * nodes).sum(axis=1) for hk, opk in zip(hist, op)]
+        residual = max(residual, change)
+        nodes = stencil(fhat)
+        state = tuple(hk[:, -1] + (opk[:, -1] * nodes).sum(axis=1) for hk, opk in zip(hist, op))
+        lead = nodes[:, -3:]
         j0 += size
-    return modal, state[1], counts, ok
+    return state, counts, residual
 
 
 def _solve_linear_source(prob: NonlinearProblem, cfg: PicardConfig, x: np.ndarray) -> Field:
@@ -515,48 +522,38 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
     traces = []
     iterations = 0
-    # equal windows of at most cfg.window share H, H', the weights and the
-    # block operator at their relative times; a window past the horizon
-    # (inf too) is one; a cubic step needs four nodes
+    # equal windows of at most cfg.window share H, H' and the block operator
+    # at their relative times; a window past the horizon (inf too) is one;
+    # a cubic step needs four nodes
     n_windows = max(1, math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12)))
     span = prob.horizon / n_windows
     steps = max(3, round(span / cfg.dt))
     t_rel = span * np.arange(steps + 1) / steps
     dt = span / steps
     hmat, hdmat = kernel_values(table, t_rel), kernel_dt_values(table, t_rel)
-    w = propagate_state(table, *step_weights(table, t_rel[1:2], dt, hmat[:, 1:2]),
-                        hmat[:, None], hdmat[:, None])
-    block_op = _block_operator(w)
-    # beyond the block operator, H_n' enters only the first block's state
-    w = (w[0], w[1][..., :BLOCK + 1].copy())
+    block_op = _block_operator(propagate_state(
+        table, *step_weights(table, t_rel[1:2], dt, hmat[:, 1:2]),
+        hmat[:, None, :BLOCK + 1], hdmat[:, None, :BLOCK + 1]))
     # window k fills columns k*steps .. (k+1)*steps; a window's first column
     # is its predecessor's last, written once
     t_nodes = np.empty(n_windows * steps + 1)
     values = np.empty((cfg.nx, t_nodes.size))
     values[[0, -1]] = 0.0
+    values[1:-1, 0] = sin_int @ g0c
     for k in range(n_windows):
         t0, t1 = k * span, (k + 1) * span
         t_abs = t0 + t_rel
-        # the initial data's u over the window; its u_t only at the end, below
-        lin = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)[0]
-        modal, forced_dt_end, counts, ok = _march_window(
-            table, hmat, hdmat, w, block_op, lin, sin_int, spectra, t_abs, cfg)
-        # one full sweep of the marched window: its fixed-point residual
-        grid = sin_int @ modal
-        fhat = _evaluating(spectra, grid, t_abs)
-        swept = _finite(sin_int @ (lin - volterra_convolve(w[0], fhat)))
-        swept -= grid
-        residual = float(np.abs(swept, out=swept).max())
-        ok = ok and residual <= cfg.tol
-        lin_dt_end = propagate_state(table, g0c, g1c, hmat[:, -1], hdmat[:, -1])[1]
+        # the initial data's part of (u, u_t) over the window
+        lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
+        state, counts, residual = _march_window(
+            table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, cfg,
+            values[1:-1, k * steps:(k + 1) * steps + 1])
         iterations += sum(counts)
         traces.append({"t_start": t0, "t_end": t1, "iterations": max(counts),
-                       "residual": residual, "converged": ok})
+                       "residual": residual, "converged": residual <= cfg.tol})
         start = 1 if k else 0
-        cols = slice(k * steps + start, (k + 1) * steps + 1)
-        t_nodes[cols] = t_abs[start:]
-        values[1:-1, cols] = grid[:, start:]
-        g0c, g1c = modal[:, -1], lin_dt_end - forced_dt_end
+        t_nodes[k * steps + start:(k + 1) * steps + 1] = t_abs[start:]
+        g0c, g1c = lin[:, -1] - state[0], lin_dt[:, -1] - state[1]
     fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
     report = PicardReport(iterations=iterations,
                           converged=all(w["converged"] for w in traces),

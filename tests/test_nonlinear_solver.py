@@ -58,6 +58,18 @@ def iterated_sweep(prob, grid_like, n_modes, tol, diffs=None, max_sweeps=100):
     raise AssertionError(f"sweeps stalled at {diff:.3g} > {tol:.3g}")
 
 
+def swept_residual(prob, fld, n_modes):
+    """sup|T(u) - u| of a one-window sine-source field u by one independent sweep.
+
+    ``sine_gordon_sweep`` (scipy's DST and ``volterra_convolve``'s FFT) from
+    the linear part on the field's grid, against the march's block operators.
+    """
+    grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
+    lin = solve_linear(LinearProblem(prob.params, prob.g0, prob.g1, None, prob.horizon), grid)
+    swept = sine_gordon_sweep(prob.params, lin, fld, prob.source.bias, n_modes)
+    return float(np.max(np.abs(swept - fld.values)))
+
+
 def lag_weights(table, t):
     """``volterra_convolve``'s weights for H_n and H_n' on the uniform grid t from 0."""
     hmat, hdmat = kernel_values(table, t), kernel_dt_values(table, t)
@@ -191,13 +203,17 @@ class TestPicardSolve:
         # 3 sweeps per block fall short of 1e-10: the window of 5 is kept
         # whole and reported unconverged with its certificate
         prob = self.small_problem(SineGordonSource(bias=0.3))
-        _, rep = picard_solve(prob, PicardConfig(tol=1e-10, max_iter=3, nx=33, dt=0.05,
-                                                 n_modes=8, window=5.0))
+        fld, rep = picard_solve(prob, PicardConfig(tol=1e-10, max_iter=3, nx=33, dt=0.05,
+                                                   n_modes=8, window=5.0))
         assert not rep.converged
         assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == [(0.0, 5.0)]
         assert rep.window_traces[0]["iterations"] == 3
         assert not rep.window_traces[0]["converged"]
         assert 1e-10 < rep.window_traces[0]["residual"] < 1e-4
+        # the certificate is the returned field's, not that of the sweep's
+        # newer synthesis
+        assert rep.window_traces[0]["residual"] == pytest.approx(
+            swept_residual(prob, fld, n_modes=8), rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("steps", [3, 33, 34, 64, 65, 97])
     def test_march_matches_iterated_sweep_at_block_edges(self, steps):
@@ -207,6 +223,8 @@ class TestPicardSolve:
         fld, rep = picard_solve(prob, PicardConfig(tol=1e-13, nx=33, dt=0.05, n_modes=8,
                                                    window=10.0))
         assert rep.converged and fld.t_nodes.size == steps + 1
+        assert rep.window_traces[0]["residual"] == pytest.approx(
+            swept_residual(prob, fld, n_modes=8), rel=0.0, abs=1e-14)
         fixed = iterated_sweep(prob, fld, n_modes=8, tol=1e-13)
         assert np.max(np.abs(fld.values - fixed.values)) <= 1e-12
 
@@ -294,6 +312,33 @@ class TestPicardSolve:
         short, long = extra_bytes(20.0), extra_bytes(40.0)
         assert abs(long - short) <= 0.1 * short
 
+    def test_c7_window_working_memory(self):
+        # tracemalloc peak above the returned field for one C7 window of
+        # 1,000 steps: no weights or swept arrays as long as the window
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
+                                source=SineGordonSource(bias=0.45), horizon=10.0)
+        cfg = PicardConfig(tol=1e-8, nx=129, dt=0.01, n_modes=64, window=10.0)
+        picard_solve(prob, cfg)  # one-off allocations of a first solve
+        tracemalloc.start()
+        try:
+            fld, rep = picard_solve(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak - fld.values.nbytes <= 7 * 2**20
+
+    def test_march_makes_no_window_convolution(self, monkeypatch):
+        # every block, the first included, sweeps by its block operator
+        def forbidden(*args, **kwargs):
+            raise AssertionError("window-wide convolution in the march")
+
+        monkeypatch.setattr(nonlinear_solver, "volterra_convolve", forbidden)
+        monkeypatch.setattr(nonlinear_solver, "fftconvolve", forbidden)
+        prob = self.small_problem(SineGordonSource(bias=0.3), T=4.0)
+        _, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=2.0))
+        assert rep.converged and len(rep.window_traces) == 2
+
     def test_report_shape(self):
         prob = self.small_problem(SineGordonSource(bias=0.3))
         cfg = PicardConfig(tol=1e-8, nx=65, dt=0.01, n_modes=16, window=5.0)
@@ -333,11 +378,10 @@ class TestPicardSolve:
         prob = self.small_problem(SineGordonSource(bias=0.2), T=3.0)
         cfg = PicardConfig(tol=tol, nx=65, dt=0.01, n_modes=32, window=5.0)
         fld, rep = picard_solve(prob, cfg)
-        assert rep.converged
-        grid = GridSpec(x_nodes=fld.x_nodes, t_nodes=fld.t_nodes)
-        lin = solve_linear(LinearProblem(P_EQ, spec([0.1]), spec([0.0]), None, 3.0), grid)
-        again = sine_gordon_sweep(P_EQ, lin, fld, bias=0.2, n_modes=32)
-        assert np.max(np.abs(again - fld.values)) <= 2.0 * tol
+        assert rep.converged and len(rep.window_traces) == 1
+        swept = swept_residual(prob, fld, n_modes=32)
+        assert swept <= tol
+        assert rep.window_traces[0]["residual"] == pytest.approx(swept, rel=0.0, abs=1e-14)
 
     def test_sine_gordon_matches_oracle(self):
         prob = self.small_problem(SineGordonSource(bias=0.0), T=5.0)
