@@ -20,35 +20,30 @@ whatever the mode's rates.  On a uniform grid the weights are lag
 weights, so ``volterra_convolve`` evaluates the rule for a whole grid as
 one FFT convolution per mode; the linear solver convolves its sources
 with it.  From the third step on, a step's stencil ends at the step's
-end, so a window is marched block by block (``BLOCK`` steps), the first
-block as every other:
+end, so the march goes block by block (``BLOCK`` steps), carrying one
+modal state (u, u_t): the initial data's part less the integrals against
+H_n and H_n' of every earlier step, (g0, g1) at t = 0.  The state's free
+motion over a block is one ``modes.propagate_state`` call; the block's
+own steps are one operator per mode on the nodes from two before the
+block to its end, lower triangular on the block's nodes (at t = 0 the
+nodes -2 and -1 are those of the cubic through the nodes 0..3,
+``with_ghosts``).  A block is swept, from the spectra of the node before
+it held constant, until its grid change is within ``tol``.  It keeps the
+iterate u whose spectra the last sweep evaluated, and the next state
+(the free motion's end less the operator's last row applied to them) and
+F's spectra at its last three nodes are built from them, so that sweep's
+change is sup|T(u) - u| on the block for the field returned.
 
-  * before a block, the integrals against H_n and H_n' of every earlier
-    step, carried from the end of the previous block (zero before the
-    first), propagate over the block's times through
-    ``modes.propagate_state``;
-  * the block's own steps are one operator per mode on the nodes from
-    two before the block to its end: lower triangular on the block's
-    nodes, whose diagonal is the weight of each step's own end; the first
-    block's nodes -2 and -1 are those of the cubic through its nodes 0..3
-    (``with_ghosts``);
-  * a block is swept, starting from the spectra of the node before it
-    held constant over the block, until its grid change is within
-    ``tol``.  It keeps the iterate u whose spectra the last sweep
-    evaluated, and the history carried on is built from them, so that
-    sweep's change is sup|T(u) - u| on the block for the field returned;
-    the largest over a window's blocks is the window's fixed-point
-    residual, the certificate that ``tol`` bounds.
-
-Long horizons are split into equal windows of at most ``window``, which
-share one set of kernel samples and block operators, and integrated
-window by window, restarting from the end state (u, u_t): the initial
-data's part less the carried integrals.  Each block's field is written
-straight into its columns of one field allocated before the first
-window, so the working memory above that field is one window's, whatever
-the horizon.  A source that does not depend on u goes, as spectra f(t),
-to ``linear_solver.solve_linear`` on the collocation grid, and ``tol``
-then bounds its estimate of the error of the value it returns.
+So the kernels are sampled once per solve, at one block's relative
+times, and nothing restarts: the state and F's spectra cross window
+joins unchanged.  A window cuts the blocks at its end, and the largest
+last-sweep change of its blocks is its fixed-point residual, the
+certificate that ``tol`` bounds.  Each block writes its field into one
+field allocated before the march, so the working memory above it is one
+block's, whatever the horizon or the window.  A source that does not
+depend on u goes, as spectra f(t), to ``linear_solver.solve_linear`` on
+the collocation grid, and ``tol`` then bounds its estimate of the error
+of the value it returns.
 
 For the biased sine source F = sin(u) - bias, the constant bias is
 expanded with its exact sine coefficients rather than sampled, which
@@ -104,9 +99,12 @@ BLOCK = 32
 class PicardConfig:
     """Collocation grid and iteration controls for the fixed-point solve.
 
-    ``max_iter`` caps the sweeps of each block of the march.  For a
-    u-independent source, ``tol`` bounds ``solve_linear``'s estimate of
-    the error of its value, and ``max_iter`` and ``window`` are unused.
+    ``max_iter`` caps the sweeps of each block of the march.  The horizon
+    is cut into equal spans of at most ``window`` (``inf``: one span), each
+    a whole number of steps near ``dt``, with a block cut and a trace at
+    every span's end.  For a u-independent source, ``tol`` bounds
+    ``solve_linear``'s estimate of the error of its value, and
+    ``max_iter`` and ``window`` are unused.
     """
 
     tol: float = 1e-8
@@ -426,65 +424,66 @@ def _finite(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _sweep_block(lin, conv, f_guess, sin_int, spectra, t_abs, cfg):
-    """Picard sweeps of u = T(u) = lin - conv(F(u)) until the grid change is <= tol.
+def _sweep_block(free, conv, f_guess, sin_int, spectra, t_abs, cfg):
+    """Picard sweeps of u = T(u) = free - conv(F(u)) until the grid change is <= tol.
 
-    The first iterate is lin - conv(f_guess), with the spectra column
+    The first iterate is free - conv(f_guess), with the spectra column
     ``f_guess`` held constant over the block.  Returns the iterate u whose
     spectra F(u) were evaluated last, those spectra, that sweep's change
     sup|T(u) - u| on the block and the number of sweeps, also when
     ``max_iter`` sweeps fall short of ``tol``.
     """
-    swept = sin_int @ (lin - conv(np.repeat(f_guess, lin.shape[1], axis=1)))
+    swept = sin_int @ (free - conv(np.repeat(f_guess, free.shape[1], axis=1)))
     for sweep in range(1, cfg.max_iter + 1):
         grid = swept
         fhat = _evaluating(spectra, grid, t_abs)
-        swept = _finite(sin_int @ (lin - conv(fhat)))
+        swept = _finite(sin_int @ (free - conv(fhat)))
         change = float(np.max(np.abs(swept - grid)))
         if change <= cfg.tol:
             break
     return grid, fhat, change, sweep
 
 
-def _march_window(table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, cfg, out):
-    """March u = lin - int_0^t F(u) H_n(t - tau) dtau over one window, block by block.
+def _march_window(table, hmat, hdmat, block_op, state, lead, sin_int, spectra, t_abs, cfg, out):
+    """March u = T(u) over one window's nodes 1..steps at times ``t_abs``, block by block.
 
-    ``hmat``/``hdmat`` hold H_n and H_n' at the window's relative times.
-    Writes u at the window's nodes 1..steps into those columns of ``out``
-    and returns the integrals against H_n and H_n' at the window's end,
-    the sweeps of each block and the window's residual: the largest
-    last-sweep change of its blocks, sup|T(u) - u| of the u written.
+    ``state`` is the modal (u, u_t) at the window's node 0, ``lead`` F's
+    spectra at its nodes -2..0 (node 0 alone at t = 0), and ``hmat``/
+    ``hdmat`` H_n and H_n' at a block's relative times.  Writes u into
+    the columns 1..steps of ``out`` and returns the state and ``lead`` at
+    the window's end, which start the next window as they are, the sweeps
+    of each block and the window's residual: the largest last-sweep change
+    of its blocks, sup|T(u) - u| of the u written.  A window sets only
+    where its last block ends and which blocks its residual covers.
     """
-    steps = lin.shape[1] - 1
-    state = (np.zeros(table.n_modes),) * 2  # the integrals at node j0
-    # F at the nodes j0 - 2..j0, at node 0 alone before the first block
-    lead = _evaluating(spectra, sin_int @ lin[:, :1], t_abs[:1])
+    steps = t_abs.size - 1
     counts, residual, j0 = [], 0.0, 0
     while j0 < steps:
         size = min(BLOCK, steps - j0)
         cols = slice(j0 + 1, j0 + size + 1)
-        hist = propagate_state(table, state[0][:, None], state[1][:, None],
+        # the free motion over the block of the state at node j0
+        free = propagate_state(table, state[0][:, None], state[1][:, None],
                                hmat[:, 1:size + 1], hdmat[:, 1:size + 1])
         op = block_op[..., :size, :size + 3]
 
         def stencil(f):
-            # F at the nodes j0 - 2..j0 + size; the first block's nodes -2
-            # and -1 come from the cubic through its nodes 0..3
+            # F at the nodes j0 - 2..j0 + size; at t = 0 the nodes -2 and
+            # -1 come from the cubic through the nodes 0..3
             nodes = np.concatenate([lead, f], axis=1)
-            return with_ghosts(nodes) if j0 == 0 else nodes
+            return with_ghosts(nodes) if lead.shape[1] == 1 else nodes
 
         def conv(f):
-            return hist[0] + (op[0] @ stencil(f)[:, :, None])[:, :, 0]
+            return (op[0] @ stencil(f)[:, :, None])[:, :, 0]
 
         out[:, cols], fhat, change, sweeps = _sweep_block(
-            lin[:, cols], conv, lead[:, -1:], sin_int, spectra, t_abs[cols], cfg)
+            free[0], conv, lead[:, -1:], sin_int, spectra, t_abs[cols], cfg)
         counts.append(sweeps)
         residual = max(residual, change)
         nodes = stencil(fhat)
-        state = tuple(hk[:, -1] + (opk[:, -1] * nodes).sum(axis=1) for hk, opk in zip(hist, op))
+        state = tuple(fk[:, -1] - (opk[:, -1] * nodes).sum(axis=1) for fk, opk in zip(free, op))
         lead = nodes[:, -3:]
         j0 += size
-    return state, counts, residual
+    return state, lead, counts, residual
 
 
 def _solve_linear_source(prob: NonlinearProblem, cfg: PicardConfig, x: np.ndarray) -> Field:
@@ -522,43 +521,40 @@ def picard_solve(prob: NonlinearProblem, cfg: PicardConfig = PicardConfig(),
     spectra = _evaluating(_source_spectra, prob.source, p, n_modes, x[1:-1])
     traces = []
     iterations = 0
-    # equal windows of at most cfg.window share H, H' and the block operator
-    # at their relative times; a window past the horizon (inf too) is one;
-    # a cubic step needs four nodes
+    # equal windows of at most cfg.window; a window past the horizon (inf
+    # too) is one; a cubic step needs four nodes
     n_windows = max(1, math.ceil(prob.horizon / cfg.window * (1.0 - 1e-12)))
     span = prob.horizon / n_windows
     steps = max(3, round(span / cfg.dt))
     t_rel = span * np.arange(steps + 1) / steps
     dt = span / steps
-    hmat, hdmat = kernel_values(table, t_rel), kernel_dt_values(table, t_rel)
+    # H, H' and the block operator at a block's relative times
+    t_block = t_rel[:BLOCK + 1]
+    hmat, hdmat = kernel_values(table, t_block), kernel_dt_values(table, t_block)
     block_op = _block_operator(propagate_state(
         table, *step_weights(table, t_rel[1:2], dt, hmat[:, 1:2]),
-        hmat[:, None, :BLOCK + 1], hdmat[:, None, :BLOCK + 1]))
+        hmat[:, None], hdmat[:, None]))
     # window k fills columns k*steps .. (k+1)*steps; a window's first column
     # is its predecessor's last, written once
-    t_nodes = np.empty(n_windows * steps + 1)
-    values = np.empty((cfg.nx, t_nodes.size))
-    values[[0, -1]] = 0.0
+    t_nodes = np.zeros(n_windows * steps + 1)
+    values = np.zeros((cfg.nx, t_nodes.size))
     values[1:-1, 0] = sin_int @ g0c
+    # (u, u_t) and F's spectra cross window joins unchanged
+    state = (g0c, g1c)
+    lead = _evaluating(spectra, values[1:-1, :1], t_nodes[:1])
     for k in range(n_windows):
         t0, t1 = k * span, (k + 1) * span
-        t_abs = t0 + t_rel
-        # the initial data's part of (u, u_t) over the window
-        lin, lin_dt = propagate_state(table, g0c[:, None], g1c[:, None], hmat, hdmat)
-        state, counts, residual = _march_window(
-            table, hmat, hdmat, block_op, lin, sin_int, spectra, t_abs, cfg,
-            values[1:-1, k * steps:(k + 1) * steps + 1])
+        win = slice(k * steps, (k + 1) * steps + 1)
+        t_nodes[k * steps + 1:win.stop] = t0 + t_rel[1:]
+        state, lead, counts, residual = _march_window(
+            table, hmat, hdmat, block_op, state, lead, sin_int, spectra, t_nodes[win], cfg,
+            values[1:-1, win])
         iterations += sum(counts)
         traces.append({"t_start": t0, "t_end": t1, "iterations": max(counts),
                        "residual": residual, "converged": residual <= cfg.tol})
-        start = 1 if k else 0
-        t_nodes[k * steps + start:(k + 1) * steps + 1] = t_abs[start:]
-        g0c, g1c = lin[:, -1] - state[0], lin_dt[:, -1] - state[1]
-    fld = Field(x_nodes=x, t_nodes=t_nodes, values=values)
-    report = PicardReport(iterations=iterations,
-                          converged=all(w["converged"] for w in traces),
-                          window_traces=traces)
-    return fld, report
+    return Field(x_nodes=x, t_nodes=t_nodes, values=values), PicardReport(
+        iterations=iterations, converged=all(w["converged"] for w in traces),
+        window_traces=traces)
 
 
 def _oscillation_excess(table: ModeTable) -> np.ndarray:

@@ -233,18 +233,20 @@ class TestPicardSolve:
         for name in ("kernel_values", "kernel_dt_values"):
             original = getattr(nonlinear_solver, name)
 
-            def counted(*args, _original=original, _name=name):
-                calls.append(_name)
-                return _original(*args)
+            def counted(table, t, _original=original, _name=name):
+                calls.append((_name, np.size(t)))
+                return _original(table, t)
 
             monkeypatch.setattr(nonlinear_solver, name, counted)
-        # T = 3.5 at window 1 is split into four equal windows of 0.875
+        # T = 3.5 at window 1 is split into four equal windows of 0.875, each
+        # of 44 steps, longer than a block
         prob = self.small_problem(SineGordonSource(bias=0.3), T=3.5)
-        _, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.05, n_modes=8, window=1.0))
+        _, rep = picard_solve(prob, PicardConfig(nx=33, dt=0.02, n_modes=8, window=1.0))
         assert rep.converged
         assert [(w["t_start"], w["t_end"]) for w in rep.window_traces] == pytest.approx(
             [(0.0, 0.875), (0.875, 1.75), (1.75, 2.625), (2.625, 3.5)], abs=1e-15)
-        assert sorted(calls) == ["kernel_dt_values", "kernel_values"]
+        assert sorted(calls) == [("kernel_dt_values", nonlinear_solver.BLOCK + 1),
+                                 ("kernel_values", nonlinear_solver.BLOCK + 1)]
 
     def test_biased_sine_source_does_not_depend_on_the_step(self):
         # 64 modes of P_EQ reach dp*dt = 41 at dt 0.01; the sampled kernel's
@@ -281,8 +283,8 @@ class TestPicardSolve:
         assert rep == ref_rep
 
     def test_window_joins_match_one_window(self):
-        # four windows of 1 write their columns where one window of 4 does;
-        # a one-column shift at a join reads ~2.7e-3
+        # four windows of 1 march the same equations as one window of 4:
+        # the state (u, u_t) and F's stencil cross the joins unchanged
         prob = self.small_problem(SineGordonSource(bias=0.3), T=4.0)
         cfg = dict(tol=1e-13, nx=33, dt=0.05, n_modes=8)
         split, split_rep = picard_solve(prob, PicardConfig(window=1.0, **cfg))
@@ -290,7 +292,7 @@ class TestPicardSolve:
         assert split_rep.converged and whole_rep.converged
         assert len(split_rep.window_traces) == 4
         assert np.array_equal(split.t_nodes, whole.t_nodes)
-        assert np.max(np.abs(split.values - whole.values)) <= 1e-4
+        assert np.max(np.abs(split.values - whole.values)) <= 1e-12
 
     def test_working_memory_does_not_grow_with_the_horizon(self):
         # tracemalloc peak above the returned field: one window's working
@@ -312,12 +314,13 @@ class TestPicardSolve:
         short, long = extra_bytes(20.0), extra_bytes(40.0)
         assert abs(long - short) <= 0.1 * short
 
-    def test_c7_window_working_memory(self):
+    @pytest.mark.parametrize("T, window", [(10.0, 10.0), (100.0, math.inf)])
+    def test_c7_window_working_memory(self, T, window):
         # tracemalloc peak above the returned field for one C7 window of
-        # 1,000 steps: no weights or swept arrays as long as the window
+        # 1,000 or 10,000 steps: one block's working set, whatever the window
         prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([0.0]),
-                                source=SineGordonSource(bias=0.45), horizon=10.0)
-        cfg = PicardConfig(tol=1e-8, nx=129, dt=0.01, n_modes=64, window=10.0)
+                                source=SineGordonSource(bias=0.45), horizon=T)
+        cfg = PicardConfig(tol=1e-8, nx=129, dt=0.01, n_modes=64, window=window)
         picard_solve(prob, cfg)  # one-off allocations of a first solve
         tracemalloc.start()
         try:
@@ -325,8 +328,28 @@ class TestPicardSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.converged
-        assert peak - fld.values.nbytes <= 7 * 2**20
+        assert rep.converged and len(rep.window_traces) == 1
+        assert peak - fld.values.nbytes <= 3 * 2**20
+
+    def test_u_and_time_dependent_source_matches_manufactured_solution(self):
+        # u* = 0.1 e^{-t/2} sin x solves L u = -u*/4 on P_EQ, so with
+        # F = sin(u) - sin(u*) - u*/4 it is the solution; the march must
+        # reach F with absolute times across the windows
+        def source(x, t, u):
+            exact = 0.1 * math.exp(-0.5 * t) * np.sin(x)
+            return np.sin(u) - np.sin(exact) - 0.25 * exact
+
+        prob = NonlinearProblem(params=P_EQ, g0=spec([0.1]), g1=spec([-0.05]),
+                                source=CustomSource(fn=source), horizon=4.0)
+        fields = []
+        for window, n_windows in ((1.0, 4), (math.inf, 1)):
+            fld, rep = picard_solve(prob, PicardConfig(tol=1e-12, nx=33, dt=0.02, n_modes=8,
+                                                       window=window))
+            exact = 0.1 * np.outer(np.sin(fld.x_nodes), np.exp(-0.5 * fld.t_nodes))
+            assert rep.converged and len(rep.window_traces) == n_windows
+            assert np.max(np.abs(fld.values - exact)) <= 1e-10
+            fields.append(fld.values)
+        assert np.max(np.abs(fields[0] - fields[1])) <= 1e-11
 
     def test_march_makes_no_window_convolution(self, monkeypatch):
         # every block, the first included, sweeps by its block operator
